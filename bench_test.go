@@ -314,7 +314,7 @@ func BenchmarkSweepCold(b *testing.B) {
 // flush-skip check. The census memo made re-pricing cheaper than
 // re-decoding at this store size; the store still wins when pricing is
 // census-memo-cold (process restart: one functional crypto profile per
-// (curve, alg, workload) vs a ~23 µs decode per entry) and its real job
+// (curve, phase) vs a ~23 µs decode per entry) and its real job
 // is durability across processes, shard exchange, and byte-identical
 // merge semantics — not beating a warm in-process memo.
 func BenchmarkSweepWarmDisk(b *testing.B) {
@@ -369,9 +369,9 @@ func BenchmarkStoreLoad(b *testing.B) {
 // --- Census memoization: the profile-once/price-everywhere split ---
 
 // BenchmarkColdFullSweep measures the full design-space grid from
-// scratch with the census memo on: every distinct (curve, alg, workload)
-// pays one functional profile run, every other configuration prices a
-// memoized census. This is the headline cold-exploration cost.
+// scratch with the census memo on: every distinct (curve, phase) pays
+// one functional profile run, every other configuration prices memoized
+// censuses. This is the headline cold-exploration cost.
 func BenchmarkColdFullSweep(b *testing.B) {
 	spec := dse.FullSweep()
 	for i := 0; i < b.N; i++ {

@@ -41,9 +41,10 @@ func printStats(w io.Writer, reg *repro.Metrics, timing *repro.SweepTiming) {
 			fmt.Fprintf(w, "  %-8s %8d %14s %14.2f\n", "assemble", asm.Count, "-", asm.SumS*1e3)
 		}
 		// The census memo is why profile counts sit far below pricing
-		// counts: each hit is a simulation that skipped its crypto
-		// execution entirely and priced a memoized census.
-		fmt.Fprintf(w, "  census memo: %d hits / %d misses (each miss = one profiled crypto execution)\n",
+		// counts: each hit is a simulated phase that skipped its crypto
+		// execution entirely and priced a memoized census. A miss is one
+		// (curve, phase) entry profiled; bench/ parses this line.
+		fmt.Fprintf(w, "  census memo: %d hits / %d misses (each miss = one profiled (curve, phase) census)\n",
 			s.Counters["sim.census.hits"], s.Counters["sim.census.misses"])
 	}
 
@@ -68,8 +69,8 @@ func printStats(w io.Writer, reg *repro.Metrics, timing *repro.SweepTiming) {
 
 	if timing != nil {
 		fmt.Fprintln(w, "sweep stages:")
-		fmt.Fprintf(w, "  total %.3fs  expand %.3fs  load %.3fs (%d B)  flush %.3fs (%d B)\n",
-			timing.TotalSeconds, timing.ExpandSeconds,
+		fmt.Fprintf(w, "  total %.3fs  expand %.3fs  fingerprint %.3fs  load %.3fs (%d B)  flush %.3fs (%d B)\n",
+			timing.TotalSeconds, timing.ExpandSeconds, timing.FingerprintSeconds,
 			timing.LoadSeconds, timing.LoadBytes,
 			timing.FlushSeconds, timing.FlushBytes)
 		if timing.Simulated.Count > 0 {

@@ -132,6 +132,7 @@ func AdaptiveSweep(spec SweepSpec, opt SweepOptions) (*AdaptiveResult, error) {
 		diskUnchanged             = opt.CacheDir != ""
 		storeSynced               bool
 		workersUsed               int
+		fingerprintSeconds        float64
 		loadSeconds, flushSeconds float64
 		loadBytes, flushBytes     int64
 	)
@@ -198,6 +199,7 @@ func AdaptiveSweep(spec SweepSpec, opt SweepOptions) (*AdaptiveResult, error) {
 			workersUsed = res.Workers
 		}
 		if res.Timing != nil {
+			fingerprintSeconds += res.Timing.FingerprintSeconds
 			loadSeconds += res.Timing.LoadSeconds
 			loadBytes += res.Timing.LoadBytes
 			flushSeconds += res.Timing.FlushSeconds
@@ -264,13 +266,14 @@ func AdaptiveSweep(spec SweepSpec, opt SweepOptions) (*AdaptiveResult, error) {
 			TotalSeconds: time.Since(start).Seconds(),
 			// Candidate generation is adaptive's expansion stage: the
 			// grid census, the coarse seed and every neighbor round.
-			ExpandSeconds: genDur.Seconds(),
-			LoadSeconds:   loadSeconds,
-			LoadBytes:     loadBytes,
-			FlushSeconds:  flushSeconds,
-			FlushBytes:    flushBytes,
-			Simulated:     simHist.Snapshot(),
-			Cached:        cachedHist.Snapshot(),
+			ExpandSeconds:      genDur.Seconds(),
+			FingerprintSeconds: fingerprintSeconds,
+			LoadSeconds:        loadSeconds,
+			LoadBytes:          loadBytes,
+			FlushSeconds:       flushSeconds,
+			FlushBytes:         flushBytes,
+			Simulated:          simHist.Snapshot(),
+			Cached:             cachedHist.Snapshot(),
 		}
 	}
 	if opt.Journal != nil {

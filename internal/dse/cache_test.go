@@ -110,9 +110,9 @@ func TestSweepStoreBytesUnchangedByCensusMemo(t *testing.T) {
 }
 
 // TestSweepHammersCensusMemo runs a parallel sweep against a cold census
-// memo (under -race in CI): many workers racing on a handful of census
-// keys must profile each key exactly once and price everything else from
-// the memo.
+// memo (under -race in CI): many workers racing on a handful of (curve,
+// phase) entries must profile each entry exactly once and price
+// everything else from the memo.
 func TestSweepHammersCensusMemo(t *testing.T) {
 	sim.ResetCensusMemo()
 	defer sim.ResetCensusMemo()
@@ -128,13 +128,17 @@ func TestSweepHammersCensusMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One census per (curve, alg, workload): one curve, one alg family,
-	// two workloads -> two profile runs; every other config is a memo hit.
+	// One census per (curve, phase): sign-verify and ecdh on one curve ->
+	// three profiled entries; every other phase lookup is a memo hit.
 	hits, misses := sim.CensusMemoStats()
-	if misses != 2 {
-		t.Errorf("census misses = %d, want 2 (one per workload)", misses)
+	if misses != 3 {
+		t.Errorf("census misses = %d, want 3 (sign, verify and ecdh)", misses)
 	}
-	if want := uint64(len(res.Points)) - misses; hits != want {
-		t.Errorf("census hits = %d, want %d (every other config memo-served)", hits, want)
+	lookups := 0
+	for _, p := range res.Points {
+		lookups += len(p.Result.Phases)
+	}
+	if want := uint64(lookups) - misses; hits != want {
+		t.Errorf("census hits = %d, want %d (every other phase memo-served)", hits, want)
 	}
 }

@@ -236,9 +236,25 @@ func sweepConfigs(spec SweepSpec, cfgs []Config, opt SweepOptions, meta sweepMet
 		}
 	}
 	var diskLoaded int
-	var loadSeconds float64
+	var fingerprintSeconds, loadSeconds float64
 	var loadBytes int64
 	if opt.CacheDir != "" {
+		// Every store read and write checks the model fingerprint, whose
+		// probe simulations run once per process. Computing it up front
+		// gives that cost its own stage instead of hiding it in the load
+		// (or, for a new store, in the flush).
+		var start time.Time
+		if telOn {
+			start = time.Now()
+		}
+		modelFingerprint()
+		if telOn {
+			d := time.Since(start)
+			fingerprintSeconds = d.Seconds()
+			if opt.Metrics != nil {
+				opt.Metrics.Histogram("store.fingerprint").Observe(d)
+			}
+		}
 		load := func(path string) error {
 			var start time.Time
 			if telOn {
@@ -526,14 +542,15 @@ func sweepConfigs(spec SweepSpec, cfgs []Config, opt SweepOptions, meta sweepMet
 	var timing *SweepTiming
 	if opt.Metrics != nil {
 		timing = &SweepTiming{
-			TotalSeconds:  time.Since(sweepStart).Seconds(),
-			ExpandSeconds: meta.expandDur.Seconds(),
-			LoadSeconds:   loadSeconds,
-			LoadBytes:     loadBytes,
-			FlushSeconds:  flushSeconds,
-			FlushBytes:    flushBytes,
-			Simulated:     simHist.Snapshot(),
-			Cached:        cachedHist.Snapshot(),
+			TotalSeconds:       time.Since(sweepStart).Seconds(),
+			ExpandSeconds:      meta.expandDur.Seconds(),
+			FingerprintSeconds: fingerprintSeconds,
+			LoadSeconds:        loadSeconds,
+			LoadBytes:          loadBytes,
+			FlushSeconds:       flushSeconds,
+			FlushBytes:         flushBytes,
+			Simulated:          simHist.Snapshot(),
+			Cached:             cachedHist.Snapshot(),
 		}
 	}
 

@@ -16,6 +16,11 @@ type SweepTiming struct {
 	TotalSeconds float64 `json:"totalSeconds"`
 	// ExpandSeconds covers spec expansion (and shard filtering).
 	ExpandSeconds float64 `json:"expandSeconds"`
+	// FingerprintSeconds covers computing the model fingerprint every
+	// store read and write checks: its probe simulations run once per
+	// process, so it is near zero after the first sweep. Zero without a
+	// CacheDir.
+	FingerprintSeconds float64 `json:"fingerprintSeconds,omitempty"`
 	// LoadSeconds/LoadBytes cover reading the persistent store(s); zero
 	// without a CacheDir.
 	LoadSeconds float64 `json:"loadSeconds,omitempty"`

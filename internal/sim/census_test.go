@@ -9,6 +9,9 @@ import (
 	"testing"
 
 	"repro/internal/ec"
+	"repro/internal/gf2"
+	"repro/internal/mp"
+	"repro/internal/telemetry"
 )
 
 // allArches is every Arch value, valid and invalid pairings included —
@@ -25,7 +28,9 @@ func allCurves() []string {
 // TestCensusMemoEquivalence is the tentpole's bit-exactness pin: over the
 // full arch x curve x workload matrix, a memo-served Run must be
 // reflect.DeepEqual to a fresh-profiled Run — results and errors alike.
-// The memo may only change speed, never a single byte of output.
+// The memo may only change speed, never a single byte of output. Both
+// sides profile on the census field implementation;
+// TestCensusMemoPhaseInvariance covers every other one.
 func TestCensusMemoEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fresh-profiles the full arch x curve x workload matrix")
@@ -76,29 +81,105 @@ func TestCensusMemoEquivalence(t *testing.T) {
 	}
 }
 
+// TestCensusMemoPhaseInvariance is the proof the memo's (curve, phase)
+// key rests on: for every curve, every multiplication algorithm of its
+// family and every workload, each phase's census and curve sizes equal
+// the (curve, phase) reference profiled on the census field
+// implementation. The memo-off side of TestCensusMemoEquivalence profiles
+// on that same implementation, so only this test can catch a census that
+// depends on the algorithm or the workload. Every sign/verify-closed
+// subset of the phases is checked too: a memo miss profiles exactly the
+// missing entries in one pass.
+func TestCensusMemoPhaseInvariance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("profiles every curve x mul-alg x workload")
+	}
+	var subsets [][]string
+	for mask := 1; mask < 8; mask++ {
+		var phases []string
+		for i, group := range [][]string{{PhaseKeyGen}, {PhaseECDH}, {PhaseSign, PhaseVerify}} {
+			if mask&(1<<i) != 0 {
+				phases = append(phases, group...)
+			}
+		}
+		subsets = append(subsets, phases)
+	}
+
+	for _, curve := range allCurves() {
+		t.Run(curve, func(t *testing.T) {
+			t.Parallel()
+			refProf, err := profileCurve(curve, profileOrder)
+			if err != nil {
+				t.Fatalf("%s reference: %v", curve, err)
+			}
+			ref := make(map[string]profiledPhase)
+			for _, ph := range refProf.phases {
+				ref[ph.name] = ph
+			}
+			check := func(label string, got []profiledPhase, gotParams curveParams, phases []string, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if gotParams != refProf.curveParams {
+					t.Errorf("%s: curve params %+v, want %+v", label, gotParams, refProf.curveParams)
+				}
+				if len(got) != len(phases) {
+					t.Fatalf("%s: profiled %d phases, want %d", label, len(got), len(phases))
+				}
+				for i, ph := range got {
+					if ph.name != phases[i] || !reflect.DeepEqual(ph, ref[ph.name]) {
+						t.Errorf("%s: phase %s census %+v, want %+v", label, ph.name, ph.census, ref[ph.name].census)
+					}
+				}
+			}
+			for _, phases := range subsets {
+				prof, err := profileCurve(curve, phases)
+				check(fmt.Sprint(phases), prof.phases, prof.curveParams, phases, err)
+			}
+			for _, wl := range workloadDefs {
+				if IsPrimeCurve(curve) {
+					for _, alg := range []mp.MulAlg{mp.OSNIST, mp.PSNIST, mp.CIOS, mp.FIPS} {
+						c := ec.NISTPrimeCurve(curve, alg)
+						got, err := profilePrimeWorkload(c, wl.phases)
+						check(alg.String()+"/"+wl.name, got, curveParams{c.F.K, c.F.Bits, c.NBits}, wl.phases, err)
+					}
+					continue
+				}
+				for _, alg := range []gf2.MulAlg{gf2.Comb, gf2.CLMul} {
+					c := ec.NISTBinaryCurve(curve, alg)
+					got, err := profileBinaryWorkload(c, wl.phases)
+					check(alg.String()+"/"+wl.name, got, curveParams{c.F.K, c.F.M, c.NBits}, wl.phases, err)
+				}
+			}
+		})
+	}
+}
+
 // TestCensusMemoErrorSemantics pins the memo's error-entry contract
 // (mirroring dse.Cache): a profile error is remembered and re-served
-// without re-profiling, counted as the one original miss and never as a
-// hit.
+// without re-profiling, counted as the one original miss per entry and
+// never as a hit. Phases a failing pass completed before the error are
+// published as good entries.
 func TestCensusMemoErrorSemantics(t *testing.T) {
 	ResetCensusMemo()
 	defer ResetCensusMemo()
 
 	boom := errors.New("profiler exploded")
 	calls := 0
-	failing := func() (censusProfile, error) {
+	failing := func(string, []string) (censusProfile, error) {
 		calls++
 		return censusProfile{}, boom
 	}
-	key := censusKey{curve: "P-000", alg: "prime/test", workload: "test"}
+	keygen := []string{PhaseKeyGen}
 
-	if _, err := censuses.get(key, failing); err != boom {
+	if _, err := censuses.get("P-000", keygen, failing); err != boom {
 		t.Fatalf("first get: err = %v, want %v", err, boom)
 	}
 	if h, m := CensusMemoStats(); h != 0 || m != 1 {
 		t.Errorf("after failing profile: %d hits / %d misses, want 0 / 1", h, m)
 	}
-	if _, err := censuses.get(key, failing); err != boom {
+	if _, err := censuses.get("P-000", keygen, failing); err != boom {
 		t.Fatalf("second get: err = %v, want remembered %v", err, boom)
 	}
 	if calls != 1 {
@@ -108,20 +189,25 @@ func TestCensusMemoErrorSemantics(t *testing.T) {
 		t.Errorf("re-serving an error moved the counters: %d hits / %d misses, want 0 / 1", h, m)
 	}
 
-	// A successful entry, by contrast, counts one miss then hits.
-	good := censusKey{curve: "P-000", alg: "prime/test", workload: "good"}
-	ok := func() (censusProfile, error) { return censusProfile{k: 6}, nil }
-	if _, err := censuses.get(good, ok); err != nil {
-		t.Fatal(err)
+	// A pass that fails on verify still publishes the sign it completed.
+	signOnly := func(_ string, phases []string) (censusProfile, error) {
+		if !reflect.DeepEqual(phases, []string{PhaseSign, PhaseVerify}) {
+			t.Errorf("profiled %v, want sign and verify together", phases)
+		}
+		return censusProfile{phases: []profiledPhase{{name: PhaseSign}}, curveParams: curveParams{k: 6}}, boom
 	}
-	if _, err := censuses.get(good, ok); err != nil {
-		t.Fatal(err)
+	if _, err := censuses.get("P-000", []string{PhaseVerify}, signOnly); err != boom {
+		t.Fatalf("verify get: err = %v, want %v", err, boom)
 	}
-	if h, m := CensusMemoStats(); h != 1 || m != 2 {
-		t.Errorf("counters = %d hits / %d misses, want 1 / 2", h, m)
+	prof, err := censuses.get("P-000", []string{PhaseSign}, failing)
+	if err != nil || prof.k != 6 {
+		t.Fatalf("sign get: %+v, %v; want the published sign entry", prof, err)
 	}
-	if n := CensusMemoLen(); n != 2 {
-		t.Errorf("memo holds %d entries, want 2 (error entry included)", n)
+	if h, m := CensusMemoStats(); h != 1 || m != 3 {
+		t.Errorf("counters = %d hits / %d misses, want 1 / 3", h, m)
+	}
+	if n := CensusMemoLen(); n != 3 {
+		t.Errorf("memo holds %d entries, want 3 (error entries included)", n)
 	}
 }
 
@@ -137,10 +223,9 @@ func TestCensusMemoDisableBypasses(t *testing.T) {
 		t.Fatal("CensusMemoEnabled() = true after DisableCensusMemo(true)")
 	}
 	calls := 0
-	key := censusKey{curve: "P-000", alg: "prime/test", workload: "off"}
-	profile := func() (censusProfile, error) { calls++; return censusProfile{}, nil }
+	profile := func(string, []string) (censusProfile, error) { calls++; return censusProfile{}, nil }
 	for i := 0; i < 3; i++ {
-		if _, err := censuses.get(key, profile); err != nil {
+		if _, err := censuses.get("P-000", []string{PhaseKeyGen}, profile); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -156,9 +241,9 @@ func TestCensusMemoDisableBypasses(t *testing.T) {
 }
 
 // TestCensusMemoConcurrent hammers one cold memo from many goroutines
-// (run under -race in CI): concurrent misses on the same key must
-// deduplicate singleflight-style — exactly one profile execution per
-// distinct key — and every caller must see the identical result.
+// (run under -race in CI): concurrent misses on the same entry must
+// deduplicate singleflight-style — exactly one profile per (curve, phase)
+// — and every caller must see the identical result.
 func TestCensusMemoConcurrent(t *testing.T) {
 	ResetCensusMemo()
 	defer ResetCensusMemo()
@@ -201,13 +286,73 @@ func TestCensusMemoConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Three arch families -> three distinct census keys; everything else
-	// (all the width variants, all the repeat loops) must have been hits.
-	if _, m := CensusMemoStats(); m != uint64(len(archs)) {
-		t.Errorf("memo misses = %d, want %d (one profile per arch family)", m, len(archs))
+	// The three arch families share one sign and one verify entry;
+	// everything else (all the width variants, all the repeat loops) must
+	// have been hits.
+	if _, m := CensusMemoStats(); m != 2 {
+		t.Errorf("memo misses = %d, want 2 (sign and verify, shared by every arch)", m)
 	}
-	if n := CensusMemoLen(); n != len(archs) {
-		t.Errorf("memo holds %d entries, want %d", n, len(archs))
+	if n := CensusMemoLen(); n != 2 {
+		t.Errorf("memo holds %d entries, want 2", n)
+	}
+}
+
+// TestCensusMemoWorkloadsSharePhases checks that a workload reuses the
+// entries another workload paid for: after a sign-verify Run, a handshake
+// Run on the same curve profiles only keygen and ecdh.
+func TestCensusMemoWorkloadsSharePhases(t *testing.T) {
+	ResetCensusMemo()
+	defer ResetCensusMemo()
+
+	if _, err := Run(WithBillie, "B-163", Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if n := CensusMemoLen(); n != 2 {
+		t.Fatalf("sign-verify left %d entries, want 2", n)
+	}
+	if _, err := Run(Baseline, "B-163", Options{Workload: WorkloadHandshake}); err != nil {
+		t.Fatal(err)
+	}
+	if n := CensusMemoLen(); n != 4 {
+		t.Errorf("handshake grew the memo to %d entries, want 4 (keygen and ecdh added)", n)
+	}
+	if h, m := CensusMemoStats(); h != 2 || m != 4 {
+		t.Errorf("counters = %d hits / %d misses, want 2 / 4", h, m)
+	}
+}
+
+// TestCensusMemoRacingWorkloads races sign-verify and handshake Runs on
+// one cold curve (under -race in CI): their phase sets overlap, and every
+// (curve, phase) entry must still be profiled exactly once.
+func TestCensusMemoRacingWorkloads(t *testing.T) {
+	ResetCensusMemo()
+	defer ResetCensusMemo()
+	reg := telemetry.New()
+	SetMetrics(reg)
+	defer SetMetrics(nil)
+
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wl := []string{WorkloadSignVerify, WorkloadHandshake}[i%2]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := Run(Baseline, "P-192", Options{Workload: wl}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+
+	s := reg.Snapshot()
+	for _, ph := range profileOrder {
+		if got := s.Histograms["sim.profile."+ph].Count; got != 1 {
+			t.Errorf("%s profiled %d times, want 1", ph, got)
+		}
+	}
+	// 4 sign-verify Runs look up 2 phases, 4 handshakes 4: 24 lookups.
+	if h, m := CensusMemoStats(); h != 20 || m != 4 {
+		t.Errorf("counters = %d hits / %d misses, want 20 / 4", h, m)
 	}
 }
 

@@ -12,14 +12,13 @@ import (
 //
 //	sim.profile.<phase>  — functional crypto execution + op census
 //	                       (recorded only when the census memo misses:
-//	                       a census is identical across configs that
-//	                       differ only in hardware knobs, so one
-//	                       profile run serves hundreds of pricings)
+//	                       a census depends only on (curve, phase), so
+//	                       one profile run serves hundreds of pricings)
 //	sim.price.<phase>    — census → cycles/events pricing
 //	sim.assemble         — cache model + energy/power assembly per run
 //	sim.run              — whole Run call
-//	sim.census.hits      — censuses served from the memo (counter)
-//	sim.census.misses    — censuses profiled from scratch (counter)
+//	sim.census.hits      — phases served from the memo (counter)
+//	sim.census.misses    — (curve, phase) entries profiled (counter)
 //
 // Timing is carried entirely out-of-band: nothing here touches
 // sim.Result, so instrumented and uninstrumented runs produce

@@ -33,7 +33,7 @@ func TestRunRecordsCensusVsPricingSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A config differing only in hardware knobs shares its census: this
-	// run must be a memo hit, not a third profile execution.
+	// run's four phases must be memo hits, not new profile executions.
 	hitOpt := Options{Workload: WorkloadHandshake, MonteWidth: 16}
 	if _, err := Run(WithMonte, "P-192", hitOpt); err != nil {
 		t.Fatal(err)
@@ -43,8 +43,9 @@ func TestRunRecordsCensusVsPricingSplit(t *testing.T) {
 	if s.Counters["sim.runs"] != 3 {
 		t.Errorf("sim.runs = %d, want 3", s.Counters["sim.runs"])
 	}
-	if s.Counters["sim.census.misses"] != 2 || s.Counters["sim.census.hits"] != 1 {
-		t.Errorf("census memo counters = %d hits / %d misses, want 1 / 2",
+	// Misses count (curve, phase) entries: 4 on P-192 and 2 on B-163.
+	if s.Counters["sim.census.misses"] != 6 || s.Counters["sim.census.hits"] != 4 {
+		t.Errorf("census memo counters = %d hits / %d misses, want 4 / 6",
 			s.Counters["sim.census.hits"], s.Counters["sim.census.misses"])
 	}
 	// Handshake profiles all four phases once (the memo-hit run prices

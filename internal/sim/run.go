@@ -9,8 +9,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/ec"
 	"repro/internal/energy"
-	"repro/internal/gf2"
-	"repro/internal/mp"
 )
 
 // ramBytes is the modeled data-SRAM capacity (Chapter 6 system
@@ -222,10 +220,7 @@ func Run(arch Arch, curveName string, opt Options) (Result, error) {
 	}
 	// validateOptions already rejected unknown workload names.
 	wl, _ := workloadByName(opt.Workload)
-	if IsPrimeCurve(curveName) {
-		return runPrime(arch, curveName, opt, wl)
-	}
-	return runBinary(arch, curveName, opt, wl)
+	return runWorkload(arch, curveName, opt, wl)
 }
 
 // MustRun is Run that panics on error (harness use).
@@ -242,77 +237,30 @@ func digest() []byte {
 	return d[:]
 }
 
-// primeMulAlg maps an architecture to the multiplication algorithm its
-// prime-field software stack uses — the only way an arch can influence a
-// census, which is why the census memo keys on the alg instead of the
-// arch.
-func primeMulAlg(arch Arch) mp.MulAlg {
-	switch arch {
-	case Baseline, BaselineCache:
-		return mp.OSNIST
-	case ISAExt, ISAExtCache:
-		return mp.PSNIST
-	default:
-		return mp.CIOS
-	}
-}
-
-// binaryMulAlg is primeMulAlg's binary-field twin.
-func binaryMulAlg(arch Arch) gf2.MulAlg {
-	if arch == Baseline || arch == BaselineCache {
-		return gf2.Comb
-	}
-	return gf2.CLMul
-}
-
-func runPrime(arch Arch, curveName string, opt Options, wl workloadDef) (Result, error) {
-	if arch == WithBillie {
+// runWorkload prices the workload's memoized per-phase censuses for one
+// configuration. A census depends only on (curve, phase), so serving it
+// involves no architecture at all; the arch and options only price it.
+func runWorkload(arch Arch, curveName string, opt Options, wl workloadDef) (Result, error) {
+	prime := IsPrimeCurve(curveName)
+	if prime && arch == WithBillie {
 		return Result{}, fmt.Errorf("sim: Billie is a binary-field accelerator; cannot run %s", curveName)
 	}
-	alg := primeMulAlg(arch)
-	key := censusKey{curve: curveName, alg: "prime/" + alg.String(), workload: wl.name}
-	prof, err := censuses.get(key, func() (censusProfile, error) {
-		curve := ec.NISTPrimeCurve(curveName, alg)
-		phases, err := profilePrimeWorkload(curve, wl)
-		if err != nil {
-			return censusProfile{}, err
-		}
-		return censusProfile{phases: phases, k: curve.F.K, bits: curve.F.Bits, nbits: curve.NBits}, nil
-	})
-	if err != nil {
-		return Result{}, err
-	}
-
-	fieldCosts := PrimeFieldCosts(arch, curveName, prof.bits, prof.k, opt)
-	orderCosts := orderCostsFor(arch, curveName, prof.nbits, opt)
-
-	accel := arch.HasMonte()
-	tallies := priceWorkload(prof.phases, fieldCosts, orderCosts, accel)
-	return assemble(arch, curveName, opt, wl, prof.phases, tallies, prof.bits)
-}
-
-func runBinary(arch Arch, curveName string, opt Options, wl workloadDef) (Result, error) {
-	if arch.HasMonte() {
+	if !prime && arch.HasMonte() {
 		return Result{}, fmt.Errorf("sim: Monte is a prime-field accelerator; cannot run %s", curveName)
 	}
-	alg := binaryMulAlg(arch)
-	key := censusKey{curve: curveName, alg: "binary/" + alg.String(), workload: wl.name}
-	prof, err := censuses.get(key, func() (censusProfile, error) {
-		curve := ec.NISTBinaryCurve(curveName, alg)
-		phases, err := profileBinaryWorkload(curve, wl)
-		if err != nil {
-			return censusProfile{}, err
-		}
-		return censusProfile{phases: phases, k: curve.F.K, bits: curve.F.M, nbits: curve.NBits}, nil
-	})
+	prof, err := censuses.get(curveName, wl.phases, profileCurve)
 	if err != nil {
 		return Result{}, err
 	}
 
-	fieldCosts := BinaryFieldCosts(arch, curveName, prof.bits, prof.k, opt)
+	var fieldCosts FieldCosts
+	var accel bool
+	if prime {
+		fieldCosts, accel = PrimeFieldCosts(arch, curveName, prof.bits, prof.k, opt), arch.HasMonte()
+	} else {
+		fieldCosts, accel = BinaryFieldCosts(arch, curveName, prof.bits, prof.k, opt), arch == WithBillie
+	}
 	orderCosts := orderCostsFor(arch, curveName, prof.nbits, opt)
-
-	accel := arch == WithBillie
 	tallies := priceWorkload(prof.phases, fieldCosts, orderCosts, accel)
 	return assemble(arch, curveName, opt, wl, prof.phases, tallies, prof.bits)
 }

@@ -130,9 +130,10 @@ type profiledPhase struct {
 	census opCensus
 }
 
-// profilePrimeWorkload executes every phase of the workload functionally
-// on a prime curve and returns the per-phase censuses.
-func profilePrimeWorkload(curve *ec.PrimeCurve, wl workloadDef) ([]profiledPhase, error) {
+// profilePrimeWorkload executes the phases functionally, in order, on a
+// prime curve and returns their censuses. On error it returns the phases
+// that completed before it.
+func profilePrimeWorkload(curve *ec.PrimeCurve, phases []string) ([]profiledPhase, error) {
 	seed := []byte("sim-key-" + curve.Name)
 	var priv *ecdsa.PrivateKey
 	ensureKey := func() {
@@ -142,8 +143,8 @@ func profilePrimeWorkload(curve *ec.PrimeCurve, wl workloadDef) ([]profiledPhase
 	}
 	var sig *ecdsa.Signature
 	reg := metrics()
-	phases := make([]profiledPhase, 0, len(wl.phases))
-	for _, ph := range wl.phases {
+	out := make([]profiledPhase, 0, len(phases))
+	for _, ph := range phases {
 		var phaseStart time.Time
 		if reg != nil {
 			phaseStart = time.Now()
@@ -161,14 +162,14 @@ func profilePrimeWorkload(curve *ec.PrimeCurve, wl workloadDef) ([]profiledPhase
 			peer := ecdsa.GenerateKey(curve, []byte("sim-peer-"+curve.Name))
 			peerKey, err := ecdsa.ECDH(peer, priv.Q)
 			if err != nil {
-				return nil, err
+				return out, err
 			}
 			key, prof, err := ecdsa.ECDHProfile(priv, peer.Q)
 			if err != nil {
-				return nil, err
+				return out, err
 			}
 			if string(key) != string(peerKey) {
-				return nil, fmt.Errorf("sim: ECDH sides disagree on %s", curve.Name)
+				return out, fmt.Errorf("sim: ECDH sides disagree on %s", curve.Name)
 			}
 			census = censusOf(prof)
 		case PhaseSign:
@@ -177,31 +178,31 @@ func profilePrimeWorkload(curve *ec.PrimeCurve, wl workloadDef) ([]profiledPhase
 			var err error
 			sig, prof, err = ecdsa.ProfileSign(priv, digest())
 			if err != nil {
-				return nil, err
+				return out, err
 			}
 			census = censusOf(prof)
 		case PhaseVerify:
 			if priv == nil || sig == nil {
-				return nil, fmt.Errorf("sim: workload %q verifies before signing", wl.name)
+				return out, fmt.Errorf("sim: phase list %q verifies before signing", phases)
 			}
 			ok, prof := ecdsa.ProfileVerify(curve, priv.Q, digest(), sig)
 			if !ok {
-				return nil, fmt.Errorf("sim: functional verification failed on %s", curve.Name)
+				return out, fmt.Errorf("sim: functional verification failed on %s", curve.Name)
 			}
 			census = censusOf(prof)
 		default:
-			return nil, fmt.Errorf("sim: unknown workload phase %q", ph)
+			return out, fmt.Errorf("sim: unknown workload phase %q", ph)
 		}
 		if reg != nil {
 			reg.Histogram("sim.profile." + ph).Observe(time.Since(phaseStart))
 		}
-		phases = append(phases, profiledPhase{name: ph, census: census})
+		out = append(out, profiledPhase{name: ph, census: census})
 	}
-	return phases, nil
+	return out, nil
 }
 
 // profileBinaryWorkload is the binary-curve twin of profilePrimeWorkload.
-func profileBinaryWorkload(curve *ec.BinaryCurve, wl workloadDef) ([]profiledPhase, error) {
+func profileBinaryWorkload(curve *ec.BinaryCurve, phases []string) ([]profiledPhase, error) {
 	seed := []byte("sim-key-" + curve.Name)
 	var priv *ecdsa.BinaryPrivateKey
 	ensureKey := func() {
@@ -211,8 +212,8 @@ func profileBinaryWorkload(curve *ec.BinaryCurve, wl workloadDef) ([]profiledPha
 	}
 	var sig *ecdsa.Signature
 	reg := metrics()
-	phases := make([]profiledPhase, 0, len(wl.phases))
-	for _, ph := range wl.phases {
+	out := make([]profiledPhase, 0, len(phases))
+	for _, ph := range phases {
 		var phaseStart time.Time
 		if reg != nil {
 			phaseStart = time.Now()
@@ -228,14 +229,14 @@ func profileBinaryWorkload(curve *ec.BinaryCurve, wl workloadDef) ([]profiledPha
 			peer := ecdsa.GenerateBinaryKey(curve, []byte("sim-peer-"+curve.Name))
 			peerKey, err := ecdsa.ECDHBinary(peer, priv.Q)
 			if err != nil {
-				return nil, err
+				return out, err
 			}
 			key, prof, err := ecdsa.ECDHProfileBinary(priv, peer.Q)
 			if err != nil {
-				return nil, err
+				return out, err
 			}
 			if string(key) != string(peerKey) {
-				return nil, fmt.Errorf("sim: ECDH sides disagree on %s", curve.Name)
+				return out, fmt.Errorf("sim: ECDH sides disagree on %s", curve.Name)
 			}
 			census = censusOfBinary(prof)
 		case PhaseSign:
@@ -244,27 +245,27 @@ func profileBinaryWorkload(curve *ec.BinaryCurve, wl workloadDef) ([]profiledPha
 			var err error
 			sig, prof, err = ecdsa.ProfileSignBinary(priv, digest())
 			if err != nil {
-				return nil, err
+				return out, err
 			}
 			census = censusOfBinary(prof)
 		case PhaseVerify:
 			if priv == nil || sig == nil {
-				return nil, fmt.Errorf("sim: workload %q verifies before signing", wl.name)
+				return out, fmt.Errorf("sim: phase list %q verifies before signing", phases)
 			}
 			ok, prof := ecdsa.ProfileVerifyBinary(curve, priv.Q, digest(), sig)
 			if !ok {
-				return nil, fmt.Errorf("sim: functional verification failed on %s", curve.Name)
+				return out, fmt.Errorf("sim: functional verification failed on %s", curve.Name)
 			}
 			census = censusOfBinary(prof)
 		default:
-			return nil, fmt.Errorf("sim: unknown workload phase %q", ph)
+			return out, fmt.Errorf("sim: unknown workload phase %q", ph)
 		}
 		if reg != nil {
 			reg.Histogram("sim.profile." + ph).Observe(time.Since(phaseStart))
 		}
-		phases = append(phases, profiledPhase{name: ph, census: census})
+		out = append(out, profiledPhase{name: ph, census: census})
 	}
-	return phases, nil
+	return out, nil
 }
 
 // workloadNamesForError renders the known names for error messages.
