@@ -17,23 +17,20 @@ func TestConflictError(t *testing.T) {
 		// Mode exclusivity, including the original -sweep -arch trap.
 		{"sweep+arch", cliFlags{sweep: true, arch: "monte"}, "conflicting modes"},
 		{"all+exp", cliFlags{all: true, exp: "fig7.1"}, "conflicting modes"},
-		{"list+merge", cliFlags{list: true, mergeCache: true}, "conflicting modes"},
 
 		// Flags another mode would silently ignore.
 		{"workload+all", cliFlags{all: true, workload: "ecdh"}, "-workload applies to -arch runs and -sweep"},
 		{"axis-flag+sweep", cliFlags{sweep: true, axisFlags: []string{"cache"}}, "-cache applies to -arch runs only"},
-		{"shard-no-sweep", cliFlags{shard: "0/2"}, "-shard and -curves apply to -sweep only"},
-		{"curves-no-sweep", cliFlags{arch: "monte", curves: "P-192"}, "-shard and -curves apply to -sweep only"},
+		{"curves-no-sweep", cliFlags{arch: "monte", curves: "P-192"}, "-curves applies to -sweep only"},
 		{"json-no-sweep", cliFlags{arch: "monte", jsonOut: true}, "apply to -sweep only"},
 		{"stats-alone", cliFlags{stats: true}, "-stats applies to -sweep and -arch runs only"},
-		{"trace-alone", cliFlags{traceFile: "t.jsonl"}, "-trace applies to -sweep and -merge-cache only"},
-		{"cache-dir-alone", cliFlags{cacheDir: ".dse"}, "-cache-dir applies to -sweep and -merge-cache only"},
+		{"trace-alone", cliFlags{traceFile: "t.jsonl"}, "-trace applies to -sweep only"},
+		{"cache-dir-alone", cliFlags{cacheDir: ".dse"}, "-cache-dir applies to -sweep only"},
 
-		// Adaptive exploration: needs -sweep, cannot be sharded, and the
-		// budget knob is meaningless without it.
+		// Adaptive exploration: needs -sweep, and the budget knob is
+		// meaningless without it.
 		{"adaptive-no-sweep", cliFlags{adaptive: true}, "-adaptive applies to -sweep only"},
 		{"adaptive-with-arch", cliFlags{arch: "monte", adaptive: true}, "-adaptive applies to -sweep only"},
-		{"adaptive+shard", cliFlags{sweep: true, adaptive: true, shard: "0/2"}, "-adaptive conflicts with -shard"},
 		{"budget-no-adaptive", cliFlags{sweep: true, adaptiveBudget: 100}, "-adaptive-budget applies to -sweep -adaptive only"},
 
 		// Coherent combinations must stay accepted.
@@ -41,9 +38,7 @@ func TestConflictError(t *testing.T) {
 		{"sweep-adaptive", cliFlags{sweep: true, adaptive: true}, ""},
 		{"sweep-adaptive-budget", cliFlags{sweep: true, adaptive: true, adaptiveBudget: 100}, ""},
 		{"sweep-adaptive-full", cliFlags{sweep: true, adaptive: true, jsonOut: true, pareto: true, stats: true, cacheDir: ".dse"}, ""},
-		{"sweep-sharded", cliFlags{sweep: true, shard: "0/2", cacheDir: ".dse"}, ""},
 		{"arch-run", cliFlags{arch: "monte", workload: "ecdh", stats: true}, ""},
-		{"merge", cliFlags{mergeCache: true, cacheDir: ".dse", traceFile: "t.jsonl"}, ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -58,17 +53,5 @@ func TestConflictError(t *testing.T) {
 				t.Fatalf("conflictError(%+v) = %q, want message naming %q", c.in, got, c.want)
 			}
 		})
-	}
-}
-
-// TestParseShard pins the i/n selector's accept/reject behavior.
-func TestParseShard(t *testing.T) {
-	if i, n, err := parseShard("1/3"); err != nil || i != 1 || n != 3 {
-		t.Errorf("parseShard(1/3) = %d, %d, %v", i, n, err)
-	}
-	for _, bad := range []string{"", "2", "2/2", "-1/2", "a/b", "1/0"} {
-		if _, _, err := parseShard(bad); err == nil {
-			t.Errorf("parseShard(%q) accepted, want error", bad)
-		}
 	}
 }

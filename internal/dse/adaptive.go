@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // Adaptive exploration finds the per-security-level energy/latency
@@ -28,7 +27,7 @@ import (
 //     (or the optional evaluation budget is hit).
 //
 // Every candidate is priced through the same execution core as an
-// exhaustive sweep (sweepConfigs), so the config-hash cache, the disk
+// exhaustive sweep (sweepRun.price), so the config-hash cache, the disk
 // store, the census memo and the telemetry layer all apply unchanged —
 // not a result byte differs from what an exhaustive sweep would have
 // computed for the same configuration.
@@ -67,24 +66,14 @@ type AdaptiveResult struct {
 
 // AdaptiveSweep runs the coarse-to-fine Pareto-guided exploration of a
 // spec. The options are the same as Sweep's (workers, cache, disk
-// store, progress, metrics, journal), except that sharding is rejected:
-// rounds pick their configurations from live frontiers, so no fixed
-// hash partition covers them. Progress reports cumulative evaluations
-// with the total growing as rounds are planned.
+// store, progress, metrics, journal). Progress reports cumulative
+// evaluations with the total growing as rounds are planned; journal
+// point events number each round's own candidates.
 func AdaptiveSweep(spec SweepSpec, opt SweepOptions) (*AdaptiveResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if opt.ShardCount > 1 || opt.ShardCount < 0 || opt.ShardIndex != 0 {
-		return nil, fmt.Errorf("dse: adaptive exploration cannot run sharded (shard %d/%d): rounds pick configurations from live frontiers, so no fixed hash partition covers them; run the exhaustive sweep sharded or run adaptive unsharded", opt.ShardIndex, opt.ShardCount)
-	}
-	opt.Adaptive = false // this IS the adaptive path; never re-delegate
-
-	telOn := opt.Metrics != nil || opt.Journal != nil
-	var start time.Time
-	if telOn {
-		start = time.Now()
-	}
+	run := newSweepRun(opt)
 
 	// The exhaustive expansion is the economics denominator. Pricing it
 	// is what adaptive avoids; expanding it is O(unique) key rendering
@@ -98,112 +87,52 @@ func AdaptiveSweep(spec SweepSpec, opt SweepOptions) (*AdaptiveResult, error) {
 		dominated: make(map[int]map[int]bool),
 		buf:       make([]byte, 0, keyBufCap),
 	}
-	var genDur time.Duration
-	if telOn {
-		genDur = time.Since(start)
-	}
-	var genStart time.Time
-	if telOn {
-		genStart = time.Now()
-	}
 	st.seedCoarse()
-	if telOn {
-		genDur += time.Since(genStart)
-	}
+	// Candidate generation is adaptive's expansion stage: the grid
+	// census, the coarse seed and every neighbor round.
+	run.timing.ExpandSeconds = time.Since(run.start).Seconds()
 
-	if opt.Journal != nil {
-		opt.Journal.Emit("adaptive_start", map[string]any{
-			"grid": grid, "coarse": len(st.cands), "budget": opt.AdaptiveBudget,
-		})
-	}
+	opt.Journal.Emit("adaptive_start", map[string]any{
+		"grid": grid, "coarse": len(st.cands), "budget": opt.AdaptiveBudget,
+	})
 
 	var (
-		points                    []Point
-		byKey                     = make(map[string]Point, len(st.cands))
-		frontiers                 []LevelFrontier
-		prevFinger                string
-		rounds                    int
-		evaluated                 int
-		moves                     int
-		budgetHit                 bool
-		hits, misses              uint64
-		diskLoaded                int
-		diskSaved                 int
-		diskUnchanged             = opt.CacheDir != ""
-		storeSynced               bool
-		workersUsed               int
-		fingerprintSeconds        float64
-		loadSeconds, flushSeconds float64
-		loadBytes, flushBytes     int64
+		points     []Point
+		byKey      = make(map[string]Point, len(st.cands))
+		frontiers  []LevelFrontier
+		prevFinger string
+		rounds     int
+		moves      int
+		budgetHit  bool
+		err        error
 	)
-	var simHist, cachedHist telemetry.Histogram
-
 	for len(st.cands) > 0 {
 		cands := st.cands
 		st.cands = nil
-		if b := opt.AdaptiveBudget; b > 0 && evaluated+len(cands) >= b {
+		if b := opt.AdaptiveBudget; b > 0 && run.configs+len(cands) >= b {
 			// Evaluate the deterministic generation-order prefix up to
 			// exactly the budget, then stop refining.
-			cands = cands[:b-evaluated]
+			cands = cands[:b-run.configs]
 			budgetHit = true
 			if len(cands) == 0 {
 				break
 			}
 		}
 
-		var roundStart time.Time
-		if telOn {
-			roundStart = time.Now()
-		}
-		roundOpt := opt
-		if opt.Progress != nil {
-			// Rounds report cumulative progress: the total is every
-			// configuration planned so far, so the counter only grows.
-			offset, total, orig := evaluated, evaluated+len(cands), opt.Progress
-			roundOpt.Progress = func(done, _ int, cached bool) {
-				orig(offset+done, total, cached)
-			}
-		}
-		res, err := sweepConfigs(spec, cands, roundOpt, sweepMeta{
-			start: roundStart, simHist: &simHist, cachedHist: &cachedHist,
-			storeSynced: storeSynced,
-		})
+		roundStart := time.Now()
+		var batch []Point
+		batch, err = run.price(cands)
 		round := rounds
 		rounds++
 		if err != nil {
-			if opt.Journal != nil {
-				opt.Journal.Emit("adaptive_round", map[string]any{
-					"round": round, "candidates": len(cands), "error": err.Error(),
-				})
-			}
-			return nil, err
+			opt.Journal.Emit("adaptive_round", map[string]any{
+				"round": round, "candidates": len(cands), "error": err.Error(),
+			})
+			break
 		}
-		evaluated += len(cands)
-		points = append(points, res.Points...)
-		for _, p := range res.Points {
+		points = append(points, batch...)
+		for _, p := range batch {
 			byKey[p.Config.Key()] = p
-		}
-		hits += res.CacheHits
-		misses += res.CacheMisses
-		diskLoaded += res.DiskLoaded
-		if res.DiskSaved > 0 {
-			// Each flush rewrites the whole store; the last one reflects
-			// its final entry count.
-			diskSaved = res.DiskSaved
-		}
-		diskUnchanged = diskUnchanged && res.DiskUnchanged
-		// A flush writes the whole cache and an unchanged-skip verified
-		// it, so either way the store now mirrors the cache exactly.
-		storeSynced = res.DiskUnchanged || res.DiskSaved > 0
-		if res.Workers > workersUsed {
-			workersUsed = res.Workers
-		}
-		if res.Timing != nil {
-			fingerprintSeconds += res.Timing.FingerprintSeconds
-			loadSeconds += res.Timing.LoadSeconds
-			loadBytes += res.Timing.LoadBytes
-			flushSeconds += res.Timing.FlushSeconds
-			flushBytes += res.Timing.FlushBytes
 		}
 
 		newFront := ParetoPerLevel(points)
@@ -215,100 +144,71 @@ func AdaptiveSweep(spec SweepSpec, opt SweepOptions) (*AdaptiveResult, error) {
 		}
 		prunedBefore := st.pruned
 		if moved && !budgetHit {
-			if telOn {
-				genStart = time.Now()
-			}
+			genStart := time.Now()
 			st.observePrunes(points, byKey)
 			for _, lf := range frontiers {
 				for _, p := range lf.Points {
 					st.neighborsOf(p.Config)
 				}
 			}
-			if telOn {
-				genDur += time.Since(genStart)
-			}
+			run.timing.ExpandSeconds += time.Since(genStart).Seconds()
 		}
-		if opt.Metrics != nil {
-			opt.Metrics.Counter("dse.adaptive.rounds").Inc()
-			opt.Metrics.Counter("dse.adaptive.evaluated").Add(int64(len(cands)))
-			opt.Metrics.Counter("dse.adaptive.pruned").Add(int64(st.pruned - prunedBefore))
+		if m := opt.Metrics; m != nil {
+			m.Counter("dse.adaptive.rounds").Inc()
+			m.Counter("dse.adaptive.evaluated").Add(int64(len(cands)))
+			m.Counter("dse.adaptive.pruned").Add(int64(st.pruned - prunedBefore))
 			if moved {
-				opt.Metrics.Counter("dse.adaptive.frontier_moves").Inc()
+				m.Counter("dse.adaptive.frontier_moves").Inc()
 			}
 		}
-		if opt.Journal != nil {
-			frontierPoints := 0
-			for _, lf := range frontiers {
-				frontierPoints += len(lf.Points)
-			}
-			f := map[string]any{
-				"round": round, "candidates": len(cands), "evaluated": evaluated,
-				"frontierPoints": frontierPoints, "moved": moved,
-				"pruned": st.pruned, "seconds": time.Since(roundStart).Seconds(),
-			}
-			if budgetHit {
-				f["budgetHit"] = true
-			}
-			opt.Journal.Emit("adaptive_round", f)
+		f := map[string]any{
+			"round": round, "candidates": len(cands), "evaluated": run.configs,
+			"frontierPoints": frontierPoints(frontiers), "moved": moved,
+			"pruned": st.pruned, "seconds": time.Since(roundStart).Seconds(),
 		}
+		if budgetHit {
+			f["budgetHit"] = true
+		}
+		opt.Journal.Emit("adaptive_round", f)
 		if !moved || budgetHit {
 			break
 		}
 	}
 
-	var timing *SweepTiming
 	if opt.Metrics != nil {
 		opt.Metrics.Gauge("dse.adaptive.grid").Set(int64(grid))
-		// Per-round sweeps overwrote sweep.configs with their batch
-		// size; leave it holding the whole exploration's count.
-		opt.Metrics.Gauge("sweep.configs").Set(int64(evaluated))
-		timing = &SweepTiming{
-			TotalSeconds: time.Since(start).Seconds(),
-			// Candidate generation is adaptive's expansion stage: the
-			// grid census, the coarse seed and every neighbor round.
-			ExpandSeconds:      genDur.Seconds(),
-			FingerprintSeconds: fingerprintSeconds,
-			LoadSeconds:        loadSeconds,
-			LoadBytes:          loadBytes,
-			FlushSeconds:       flushSeconds,
-			FlushBytes:         flushBytes,
-			Simulated:          simHist.Snapshot(),
-			Cached:             cachedHist.Snapshot(),
-		}
 	}
-	if opt.Journal != nil {
-		frontierPoints := 0
-		for _, lf := range frontiers {
-			frontierPoints += len(lf.Points)
-		}
-		opt.Journal.Emit("adaptive_end", map[string]any{
-			"rounds": rounds, "evaluated": evaluated, "grid": grid,
-			"pruned": st.pruned, "frontierPoints": frontierPoints,
-			"budgetHit": budgetHit,
-		})
+	end := map[string]any{
+		"rounds": rounds, "evaluated": run.configs, "grid": grid,
+		"pruned": st.pruned, "frontierPoints": frontierPoints(frontiers),
+		"budgetHit": budgetHit,
+	}
+	if err != nil {
+		end["error"] = err.Error()
+	}
+	opt.Journal.Emit("adaptive_end", end)
+	if err != nil {
+		return nil, err
 	}
 	return &AdaptiveResult{
-		Result: &SweepResult{
-			Spec:          spec,
-			Points:        points,
-			RawPoints:     spec.RawPoints(),
-			Configs:       evaluated,
-			Workers:       workersUsed,
-			CacheHits:     hits,
-			CacheMisses:   misses,
-			DiskLoaded:    diskLoaded,
-			DiskSaved:     diskSaved,
-			DiskUnchanged: diskUnchanged && opt.CacheDir != "" && rounds > 0,
-			Timing:        timing,
-		},
+		Result:        run.result(spec, points),
 		Frontiers:     frontiers,
 		Rounds:        rounds,
-		Evaluated:     evaluated,
+		Evaluated:     run.configs,
 		GridConfigs:   grid,
 		Pruned:        st.pruned,
 		FrontierMoves: moves,
 		BudgetHit:     budgetHit,
 	}, nil
+}
+
+// frontierPoints counts the points across per-level frontiers.
+func frontierPoints(fs []LevelFrontier) int {
+	n := 0
+	for _, lf := range fs {
+		n += len(lf.Points)
+	}
+	return n
 }
 
 // adaptiveState is the bookkeeping one exploration carries across

@@ -3,6 +3,7 @@ package dse
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -213,34 +214,47 @@ func TestAdaptiveWarmDiskUnchanged(t *testing.T) {
 	}
 }
 
-// TestAdaptiveRejectsSharding: a sharded adaptive run is a named
-// error, through both entry points.
-func TestAdaptiveRejectsSharding(t *testing.T) {
+// TestAdaptiveJournalErrorPath: an exploration that fails mid-round
+// journals the failing point, the partial flush of the round's
+// completed points, the round's error, and an adaptive_end carrying the
+// error the caller sees.
+func TestAdaptiveJournalErrorPath(t *testing.T) {
 	spec := smallSpec()
-	if _, err := AdaptiveSweep(spec, SweepOptions{ShardIndex: 0, ShardCount: 2}); err == nil || !strings.Contains(err.Error(), "sharded") {
-		t.Errorf("AdaptiveSweep sharded: err = %v, want sharding rejection", err)
-	}
-	if _, err := Sweep(spec, SweepOptions{Adaptive: true, ShardIndex: 1, ShardCount: 2}); err == nil || !strings.Contains(err.Error(), "sharded") {
-		t.Errorf("Sweep adaptive+sharded: err = %v, want sharding rejection", err)
-	}
-}
-
-// TestSweepDelegatesAdaptive: SweepOptions.Adaptive routes Sweep
-// through the explorer and returns its evaluated cloud.
-func TestSweepDelegatesAdaptive(t *testing.T) {
-	spec := FullSweep()
 	cache := NewCache()
-	ar, err := AdaptiveSweep(spec, SweepOptions{Cache: cache})
-	if err != nil {
-		t.Fatal(err)
+	boom := errors.New("injected simulator failure")
+	poisoned := spec.Expand()[0]
+	cache.mu.Lock()
+	cache.m[poisoned.Hash()] = cacheEntry{err: boom}
+	cache.mu.Unlock()
+
+	var buf bytes.Buffer
+	_, err := AdaptiveSweep(spec, SweepOptions{Workers: 1, Cache: cache, CacheDir: t.TempDir(),
+		Journal: telemetry.NewJournal(&buf)})
+	if !errors.Is(err, boom) {
+		t.Fatalf("adaptive error = %v, want the injected failure", err)
 	}
-	res, err := Sweep(spec, SweepOptions{Cache: cache, Adaptive: true})
-	if err != nil {
-		t.Fatal(err)
+	events := journalLines(t, &buf)
+	var pointErrs int
+	for _, e := range events {
+		if e["event"] == "point" && e["error"] != nil {
+			pointErrs++
+		}
+		if e["event"] == "store_flush" && e["partial"] != true {
+			t.Errorf("failed round's flush not marked partial: %v", e)
+		}
 	}
-	if res.Configs != ar.Evaluated || len(res.Points) != len(ar.Result.Points) {
-		t.Fatalf("delegated result: %d configs / %d points, want %d / %d",
-			res.Configs, len(res.Points), ar.Evaluated, len(ar.Result.Points))
+	if pointErrs != 1 {
+		t.Errorf("journaled %d point errors, want 1", pointErrs)
+	}
+	names := eventNames(events)
+	if len(names) < 3 || names[len(names)-3] != "store_flush" ||
+		names[len(names)-2] != "adaptive_round" || names[len(names)-1] != "adaptive_end" {
+		t.Fatalf("error-path sequence ends %v, want store_flush, adaptive_round, adaptive_end", names)
+	}
+	for _, e := range events[len(events)-2:] {
+		if msg, _ := e["error"].(string); !strings.Contains(msg, "injected") {
+			t.Errorf("%s lost the error: %v", e["event"], e)
+		}
 	}
 }
 

@@ -75,19 +75,6 @@ func (c *Cache) Reset() {
 	c.hits, c.misses = 0, 0
 }
 
-// lookup returns the successful cached result for a canonical config
-// hash, if any. Error entries do not count: a remembered failure is not
-// a result an assemble path may serve.
-func (c *Cache) lookup(hash string) (sim.Result, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.m[hash]
-	if !ok || e.err != nil {
-		return sim.Result{}, false
-	}
-	return e.res, true
-}
-
 // GetOrRun returns the simulation result for cfg, running it at most
 // once per canonical configuration, and reports whether it was served
 // from cache. Concurrent callers asking for the same configuration block

@@ -142,3 +142,16 @@ func TestSweepHammersCensusMemo(t *testing.T) {
 		t.Errorf("census hits = %d, want %d (every other phase memo-served)", hits, want)
 	}
 }
+
+// lookup returns the successful cached result for a canonical config
+// hash, if any, without touching the hit/miss counters. Error entries
+// do not count: a remembered failure is not a result.
+func (c *Cache) lookup(hash string) (sim.Result, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.m[hash]
+	if !ok || e.err != nil {
+		return sim.Result{}, false
+	}
+	return e.res, true
+}

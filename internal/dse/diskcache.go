@@ -122,7 +122,7 @@ type loadEntry struct {
 }
 
 // scanBufPool recycles LoadFile's scanner buffer across loads: the
-// store is read once per sweep per shard file, and a fresh 64 KB
+// store is read once per sweep (once per adaptive round), and a fresh 64 KB
 // allocation per call was the single largest allocation on the
 // decode-bound warm-disk path (BenchmarkStoreLoad).
 var scanBufPool = sync.Pool{
@@ -196,47 +196,17 @@ func (c *Cache) LoadFile(path string) (int, error) {
 	return n, nil
 }
 
-// LoadGlob merges every store matching pattern (filepath.Glob syntax)
-// into the cache, returning how many files matched and how many entries
-// were added across them. Entries are keyed by config hash and
-// simulation is deterministic, so overlapping stores agree wherever they
-// overlap: the union is independent of load order. Per-file tolerance is
-// LoadFile's — stale, foreign or corrupted stores contribute nothing but
-// do not fail the load.
-func (c *Cache) LoadGlob(pattern string) (files, entries int, err error) {
-	paths, err := filepath.Glob(pattern)
-	if err != nil {
-		return 0, 0, fmt.Errorf("dse: bad store pattern %q: %w", pattern, err)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		n, err := c.LoadFile(p)
-		if err != nil {
-			return files, entries, err
-		}
-		files++
-		entries += n
-	}
-	return files, entries, nil
-}
-
 // SaveFile atomically persists every successful cached result to path,
 // creating parent directories as needed, and returns how many entries
 // were written. Entries are written in hash order, so two stores holding
-// the same results are byte-identical — usable for shard exchange and
-// byte-level dedup. Error entries are not persisted — a config that
-// failed to simulate is retried by the next process rather than
-// remembered.
-func (c *Cache) SaveFile(path string) (int, error) { return c.saveFile(path, nil) }
-
-// saveFile is SaveFile restricted to the entries keep admits (nil keeps
-// everything); sharded sweeps use it to flush only the hashes their shard
-// owns.
-func (c *Cache) saveFile(path string, keep func(hash string) bool) (int, error) {
+// the same results are byte-identical. Error entries are not persisted —
+// a config that failed to simulate is retried by the next process rather
+// than remembered.
+func (c *Cache) SaveFile(path string) (int, error) {
 	c.mu.Lock()
 	entries := make([]diskEntry, 0, len(c.m))
 	for h, e := range c.m {
-		if e.err != nil || (keep != nil && !keep(h)) {
+		if e.err != nil {
 			continue
 		}
 		entries = append(entries, diskEntry{Hash: h, Result: e.res})

@@ -1,7 +1,7 @@
 // Package dse is the design-space exploration engine: it fans a
 // declarative sweep specification (architectures × curves × cache
 // geometries × accelerator knobs, including the Monte datapath-width and
-// Billie digit-size axes) out over a sharded worker pool, caches
+// Billie digit-size axes) out over a parallel worker pool, caches
 // simulation results under a canonical configuration hash so repeated and
 // overlapping sweeps are near-free — optionally persisting that cache to
 // a versioned on-disk store so they stay near-free across process
@@ -20,13 +20,9 @@
 //
 // Sweep output ordering is deterministic: results are reported in
 // specification order regardless of the worker count, so two sweeps of the
-// same spec are byte-identical even when sharded differently.
-//
-// A sweep can also be split across processes or hosts: the canonical
-// config hash is a stable partition key (ShardOf), SweepOptions.ShardIndex
-// /ShardCount restrict a run to one shard flushing its own store, and
-// MergeStores + AssembleFromStore combine the shard stores and rebuild
-// the full result with zero re-simulation.
+// same spec are byte-identical. AdaptiveSweep finds the per-level
+// frontiers while pricing a fraction of the grid, through the same
+// observed execution core (cache, store, journal, metrics) as Sweep.
 //
 // Every axis — the arch and curve dimensions as much as the option
 // knobs — is declared once in the axis registry (axes.go):

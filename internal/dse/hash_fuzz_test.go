@@ -48,12 +48,12 @@ func FuzzConfigHash(f *testing.F) {
 	// configs, configs differing only in an irrelevant knob, configs
 	// differing in exactly one relevant knob, and zero-value defaults.
 	f.Add(0, 0, 4, 3, 3, false, false, true, false, 0, 0, 4, 3, 3, false, false, true, false)
-	f.Add(3, 0, 4, 3, 3, false, false, true, false, 3, 0, 4, 1, 3, false, false, true, false)  // Monte width differs
-	f.Add(4, 5, 4, 3, 2, false, false, true, false, 4, 5, 4, 3, 5, false, false, true, false)  // Billie digit differs
-	f.Add(0, 0, 1, 3, 3, true, false, true, true, 0, 0, 8, 3, 3, false, true, false, false)    // all knobs irrelevant on baseline
-	f.Add(2, 3, 2, 0, 0, true, true, false, false, 2, 3, 2, 0, 0, true, false, false, false)   // ideal cache folds prefetch
-	f.Add(6, 1, 4, 2, 0, false, false, true, true, 6, 1, 4, 2, 0, false, false, false, true)   // monte+icache, db differs
-	f.Add(0, 0, 0, 0, 0, false, false, false, false, 1, 9, 64, 4, 8, true, true, true, true)   // zero values vs extremes
+	f.Add(3, 0, 4, 3, 3, false, false, true, false, 3, 0, 4, 1, 3, false, false, true, false) // Monte width differs
+	f.Add(4, 5, 4, 3, 2, false, false, true, false, 4, 5, 4, 3, 5, false, false, true, false) // Billie digit differs
+	f.Add(0, 0, 1, 3, 3, true, false, true, true, 0, 0, 8, 3, 3, false, true, false, false)   // all knobs irrelevant on baseline
+	f.Add(2, 3, 2, 0, 0, true, true, false, false, 2, 3, 2, 0, 0, true, false, false, false)  // ideal cache folds prefetch
+	f.Add(6, 1, 4, 2, 0, false, false, true, true, 6, 1, 4, 2, 0, false, false, false, true)  // monte+icache, db differs
+	f.Add(0, 0, 0, 0, 0, false, false, false, false, 1, 9, 64, 4, 8, true, true, true, true)  // zero values vs extremes
 
 	f.Fuzz(func(t *testing.T,
 		a1, c1, k1, w1, d1 int, pf1, id1, db1, g1 bool,
@@ -90,9 +90,9 @@ func FuzzConfigHash(f *testing.F) {
 		// The registry-driven Key must reproduce the PR-4-era
 		// hand-written rendering byte for byte: these strings are what
 		// every existing config hash — and therefore every disk store
-		// and shard assignment — was computed from. The corpus predates
-		// the line axis, so fuzzConfig never sets it and the legacy
-		// format needs no line token.
+		// entry — was computed from. The corpus predates the line axis,
+		// so fuzzConfig never sets it and the legacy format needs no
+		// line token.
 		if legacy := legacyKey(cfg1); key1 != legacy {
 			t.Errorf("registry key diverges from legacy rendering:\n  registry: %s\n  legacy:   %s",
 				key1, legacy)

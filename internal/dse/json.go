@@ -49,16 +49,14 @@ type PhaseJSON struct {
 	EnergyJ float64 `json:"energyJ"`
 }
 
-// SweepJSON is the machine-readable rendering of a full sweep. The
-// shard and disk fields are omitted when zero/false, keeping unsharded
-// in-memory sweep output byte-identical to the pre-shard wire form.
+// SweepJSON is the machine-readable rendering of a full sweep. The disk
+// fields are omitted when zero/false, keeping in-memory sweep output
+// free of store accounting.
 type SweepJSON struct {
 	ClockHz       float64 `json:"clockHz"`
 	RawPoints     int     `json:"rawPoints"`
 	Configs       int     `json:"configs"`
 	Workers       int     `json:"workers"`
-	ShardIndex    int     `json:"shardIndex,omitempty"`
-	ShardCount    int     `json:"shardCount,omitempty"`
 	CacheHits     uint64  `json:"cacheHits"`
 	CacheMisses   uint64  `json:"cacheMisses"`
 	DiskLoaded    int     `json:"diskLoaded,omitempty"`
@@ -132,8 +130,6 @@ func (r *SweepResult) toWire() SweepJSON {
 		RawPoints:     r.RawPoints,
 		Configs:       r.Configs,
 		Workers:       r.Workers,
-		ShardIndex:    r.ShardIndex,
-		ShardCount:    r.ShardCount,
 		CacheHits:     r.CacheHits,
 		CacheMisses:   r.CacheMisses,
 		DiskLoaded:    r.DiskLoaded,

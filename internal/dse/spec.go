@@ -205,8 +205,8 @@ func forEachDimension(vals [][]axisValue, fn func(c *Config)) {
 // the identical slice, same members in the same first-occurrence order.
 //
 // Every emitted Config carries its rendered canonical key memoized, so
-// downstream consumers (Sweep's dedup and cache lookups, shard
-// partitioning, store writes) never re-render it.
+// downstream consumers (Sweep's dedup and cache lookups, store writes)
+// never re-render it.
 func (s SweepSpec) Expand() []Config {
 	n := s.normalized()
 	vals := make([][]axisValue, len(axes))

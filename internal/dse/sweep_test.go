@@ -2,6 +2,7 @@ package dse
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/sim"
@@ -239,5 +240,49 @@ func TestFullSweepShape(t *testing.T) {
 	best := BestPerSecurity(res.Points)
 	if len(best) != 5 {
 		t.Errorf("BestPerSecurity found %d levels, want 5", len(best))
+	}
+}
+
+// TestSweepFlushesPartialResultsOnError is the regression test for the
+// flush-on-error bug: a sweep that dies on its final configuration must
+// still persist every earlier result, not discard the whole run.
+func TestSweepFlushesPartialResultsOnError(t *testing.T) {
+	spec := diskSpec()
+	cfgs := spec.Expand()
+	if len(cfgs) < 2 {
+		t.Fatalf("spec too small: %d configs", len(cfgs))
+	}
+	last := cfgs[len(cfgs)-1]
+
+	// Poison the final configuration so the sweep fails exactly there.
+	cache := NewCache()
+	boom := errors.New("injected simulator failure")
+	cache.mu.Lock()
+	cache.m[last.Hash()] = cacheEntry{err: boom}
+	cache.mu.Unlock()
+
+	dir := t.TempDir()
+	_, err := Sweep(spec, SweepOptions{Workers: 1, Cache: cache, CacheDir: dir})
+	if !errors.Is(err, boom) {
+		t.Fatalf("sweep error = %v, want the injected failure", err)
+	}
+
+	// Every successfully simulated point survived in the store; the
+	// failed config was not persisted and will be retried next run.
+	fresh := NewCache()
+	n, err := fresh.LoadFile(DiskCachePath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(cfgs) - 1; n != want {
+		t.Errorf("store holds %d results after failed sweep, want %d", n, want)
+	}
+	if _, ok := fresh.lookup(last.Hash()); ok {
+		t.Error("failed config was persisted")
+	}
+	for _, cfg := range cfgs[:len(cfgs)-1] {
+		if _, ok := fresh.lookup(cfg.Hash()); !ok {
+			t.Errorf("store lost successfully simulated config %q", cfg.Key())
+		}
 	}
 }

@@ -12,17 +12,19 @@ import (
 // are identical with and without timing, so golden-pinned and
 // hash-pinned outputs stay deterministic.
 type SweepTiming struct {
-	// TotalSeconds is the whole Sweep call, expansion to flush.
+	// TotalSeconds is the whole Sweep (or AdaptiveSweep) call,
+	// expansion to flush.
 	TotalSeconds float64 `json:"totalSeconds"`
-	// ExpandSeconds covers spec expansion (and shard filtering).
+	// ExpandSeconds covers spec expansion (for an adaptive exploration,
+	// all candidate generation: grid count, coarse seed and neighbors).
 	ExpandSeconds float64 `json:"expandSeconds"`
 	// FingerprintSeconds covers computing the model fingerprint every
 	// store read and write checks: its probe simulations run once per
 	// process, so it is near zero after the first sweep. Zero without a
 	// CacheDir.
 	FingerprintSeconds float64 `json:"fingerprintSeconds,omitempty"`
-	// LoadSeconds/LoadBytes cover reading the persistent store(s); zero
-	// without a CacheDir.
+	// LoadSeconds/LoadBytes cover reading the persistent store (once per
+	// adaptive round); zero without a CacheDir.
 	LoadSeconds float64 `json:"loadSeconds,omitempty"`
 	LoadBytes   int64   `json:"loadBytes,omitempty"`
 	// FlushSeconds/FlushBytes cover writing the store back; zero when
