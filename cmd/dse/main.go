@@ -21,6 +21,9 @@
 //	dse -sweep -adaptive                 # Pareto-guided exploration: the per-level
 //	                                     # frontiers without pricing the whole grid
 //	dse -sweep -adaptive -adaptive-budget 200  # cap evaluated configurations
+//	dse -sweep -stats                    # where the time went: census vs pricing,
+//	                                     # sweep stages, counters
+//	dse -sweep -trace run.jsonl          # append a JSONL journal of the run's stages
 //
 // With -cache-dir a sweep persists every priced configuration in one
 // store; a later sweep in a fresh process is served from it and, when
@@ -39,8 +42,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"strings"
 
@@ -66,7 +67,6 @@ func main() {
 
 		stats     = flag.Bool("stats", false, "after a -sweep or -arch run: print collected telemetry (per-phase census-vs-pricing split, sweep stage timing, cache counters)")
 		traceFile = flag.String("trace", "", "with -sweep: append one JSON event per run stage (sweep start/point/load/flush/end, adaptive rounds) to this file")
-		httpAddr  = flag.String("http", "", "with -sweep: serve live /metrics, /progress and /debug/pprof on this address (e.g. :8080) while the sweep runs")
 	)
 	// Every design-space flag is generated from the dse axis registry:
 	// the dimension selectors (-arch, -curve) from the dimension axes,
@@ -106,7 +106,7 @@ func main() {
 		adaptive: *adaptive, adaptiveBudget: *adaptiveBudget,
 		jsonOut: *jsonOut, pareto: *pareto, progress: *progress,
 		workers: *workers, stats: *stats,
-		traceFile: *traceFile, cacheDir: *cacheDir, httpAddr: *httpAddr,
+		traceFile: *traceFile, cacheDir: *cacheDir,
 		axisFlags: axisFlags,
 	}); msg != "" {
 		fmt.Fprintln(os.Stderr, msg)
@@ -124,8 +124,7 @@ func main() {
 		err := runSweep(sweepConfig{
 			workers: *workers, paretoOnly: *pareto, jsonOut: *jsonOut,
 			cacheDir: *cacheDir, workloads: workload, curves: *curves,
-			progress: *progress, stats: *stats,
-			traceFile: *traceFile, httpAddr: *httpAddr,
+			progress: *progress, stats: *stats, traceFile: *traceFile,
 			adaptive: *adaptive, adaptiveBudget: *adaptiveBudget,
 		})
 		if err != nil {
@@ -187,22 +186,22 @@ type sweepConfig struct {
 	cacheDir, workloads string
 	curves              string
 	progress, stats     bool
-	traceFile, httpAddr string
+	traceFile           string
 	adaptive            bool
 	adaptiveBudget      int
 }
 
 // cliFlags captures the parsed flag state the coherence rules inspect.
 type cliFlags struct {
-	list, sweep, all              bool
-	exp, arch                     string
-	workload, curves              string
-	adaptive                      bool
-	adaptiveBudget                int
-	jsonOut, pareto, progress     bool
-	workers                       int
-	stats                         bool
-	traceFile, cacheDir, httpAddr string
+	list, sweep, all          bool
+	exp, arch                 string
+	workload, curves          string
+	adaptive                  bool
+	adaptiveBudget            int
+	jsonOut, pareto, progress bool
+	workers                   int
+	stats                     bool
+	traceFile, cacheDir       string
 	// axisFlags are non-workload design-space flags set without -arch
 	// (they configure a single -arch run only).
 	axisFlags []string
@@ -237,8 +236,8 @@ func conflictError(c cliFlags) string {
 	}
 	if !c.sweep {
 		switch {
-		case c.jsonOut || c.pareto || c.workers != 0 || c.progress || c.httpAddr != "":
-			return "-json, -pareto, -workers, -progress and -http apply to -sweep only"
+		case c.jsonOut || c.pareto || c.workers != 0 || c.progress:
+			return "-json, -pareto, -workers and -progress apply to -sweep only"
 		case c.stats && c.arch == "":
 			return "-stats applies to -sweep and -arch runs only"
 		case c.traceFile != "":
@@ -299,13 +298,12 @@ func runSweep(cfg sweepConfig) error {
 	}
 	opt := repro.SweepOptions{Workers: cfg.workers, CacheDir: cfg.cacheDir}
 
-	// -stats and -http both need the registry; the simulator hook and the
-	// cache gauges ride along so /metrics shows the whole pipeline.
+	// -stats needs the registry; the simulator hook rides along so the
+	// report shows the whole pipeline.
 	var reg *repro.Metrics
-	if cfg.stats || cfg.httpAddr != "" {
+	if cfg.stats {
 		reg = repro.NewMetrics()
 		repro.EnableSimMetrics(reg)
-		repro.RegisterCacheMetrics(reg)
 		opt.Metrics = reg
 	}
 	journal, closeJournal, err := openJournal(cfg.traceFile)
@@ -315,39 +313,18 @@ func runSweep(cfg sweepConfig) error {
 	defer closeJournal()
 	opt.Journal = journal
 
-	var track *repro.SweepProgressTracker
-	if cfg.httpAddr != "" {
-		track = &repro.SweepProgressTracker{}
-		ln, err := net.Listen("tcp", cfg.httpAddr)
-		if err != nil {
-			return fmt.Errorf("-http %s: %w", cfg.httpAddr, err)
-		}
-		defer ln.Close()
-		fmt.Fprintf(os.Stderr, "telemetry: serving /metrics, /progress and /debug/pprof on http://%s\n", ln.Addr())
-		srv := &http.Server{Handler: repro.TelemetryHandler(reg, track)}
-		go srv.Serve(ln)
-		defer srv.Close()
-	}
-
 	// The progress callback only paints the live \r-overwritten counter;
 	// the newline-terminated final tally is printed after Sweep returns
 	// (success or failure), so an aborted sweep never leaves a stale
 	// partial line for the next output to collide with.
-	var rendered bool
 	var lastDone, cachedSoFar int
-	if cfg.progress || track != nil {
+	if cfg.progress {
 		opt.Progress = func(done, total int, fromCache bool) {
 			lastDone = done
 			if fromCache {
 				cachedSoFar++
 			}
-			if track != nil {
-				track.Observe(done, total, fromCache)
-			}
-			if cfg.progress {
-				rendered = true
-				fmt.Fprintf(os.Stderr, "\rsweep: %d/%d configurations (%d cached)", done, total, cachedSoFar)
-			}
+			fmt.Fprintf(os.Stderr, "\rsweep: %d/%d configurations (%d cached)", done, total, cachedSoFar)
 		}
 	}
 	var (
@@ -363,7 +340,7 @@ func runSweep(cfg sweepConfig) error {
 	} else {
 		res, err = repro.Sweep(spec, opt)
 	}
-	if rendered {
+	if lastDone > 0 {
 		// Terminate (and on failure, visibly close off) the live line.
 		fmt.Fprintln(os.Stderr)
 	}

@@ -3,7 +3,8 @@ package main
 import (
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro"
@@ -11,9 +12,9 @@ import (
 
 // printStats renders the telemetry collected during a run: the
 // simulator's census-vs-pricing split per workload phase, the sweep's
-// stage timing when one ran, and the registry's remaining counters and
-// gauges (including the process-wide result-cache view). The writer is
-// stderr in -json mode so machine-readable stdout stays pure JSON.
+// stage timing when one ran, the registry's remaining counters and
+// gauges, and the process-wide result cache. The writer is stderr in
+// -json mode so machine-readable stdout stays pure JSON.
 func printStats(w io.Writer, reg *repro.Metrics, timing *repro.SweepTiming) {
 	s := reg.Snapshot()
 
@@ -26,7 +27,7 @@ func printStats(w io.Writer, reg *repro.Metrics, timing *repro.SweepTiming) {
 			phases = append(phases, strings.TrimPrefix(name, "sim.profile."))
 		}
 	}
-	sort.Strings(phases)
+	slices.Sort(phases)
 	if len(phases) > 0 {
 		fmt.Fprintln(w, "simulator phases (census = profiled crypto execution; pricing = cost model):")
 		fmt.Fprintf(w, "  %-8s %8s %14s %14s %16s\n",
@@ -87,13 +88,13 @@ func printStats(w io.Writer, reg *repro.Metrics, timing *repro.SweepTiming) {
 
 	if len(s.Counters) > 0 {
 		fmt.Fprintln(w, "counters:")
-		for _, name := range sortedKeys(s.Counters) {
+		for _, name := range slices.Sorted(maps.Keys(s.Counters)) {
 			fmt.Fprintf(w, "  %-24s %d\n", name, s.Counters[name])
 		}
 	}
 	if len(s.Gauges) > 0 {
 		fmt.Fprintln(w, "gauges:")
-		for _, name := range sortedKeys(s.Gauges) {
+		for _, name := range slices.Sorted(maps.Keys(s.Gauges)) {
 			fmt.Fprintf(w, "  %-24s %d\n", name, s.Gauges[name])
 		}
 	}
@@ -101,14 +102,4 @@ func printStats(w io.Writer, reg *repro.Metrics, timing *repro.SweepTiming) {
 	hits, misses, entries := repro.SweepCacheStats()
 	fmt.Fprintf(w, "process-wide result cache: %d hits / %d misses, %d entries resident\n",
 		hits, misses, entries)
-}
-
-// sortedKeys returns a map's keys in sorted order for stable output.
-func sortedKeys(m map[string]int64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -124,7 +124,7 @@ type loadEntry struct {
 // scanBufPool recycles LoadFile's scanner buffer across loads: the
 // store is read once per sweep (once per adaptive round), and a fresh 64 KB
 // allocation per call was the single largest allocation on the
-// decode-bound warm-disk path (BenchmarkStoreLoad).
+// decode-bound warm-disk path.
 var scanBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 64*1024)

@@ -228,6 +228,20 @@ func TestConfigKeyMemoized(t *testing.T) {
 	}
 }
 
+// TestExpandAllocs pins the allocation budget of expanding the full
+// design-space grid: 734 allocs/op on go1.24 for 530 configs, budgeted
+// at 770 (5%). One extra allocation per config or per raw grid point
+// blows through it.
+func TestExpandAllocs(t *testing.T) {
+	spec := FullSweep()
+	allocs := testing.AllocsPerRun(10, func() {
+		_ = spec.Expand()
+	})
+	if allocs > 770 {
+		t.Errorf("FullSweep Expand = %.1f allocs/op, want <= 770", allocs)
+	}
+}
+
 // TestConfigKeyAllocs pins the allocation budget of a cold key render
 // (the memo-less worst case): at most 2 allocations, down from 11 in
 // the per-token string rendering this replaced.

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -132,13 +134,13 @@ func TestSweepLifecycle(t *testing.T) {
 
 			s := reg.Snapshot()
 			b.WriteString("metrics:\n")
-			for _, k := range telemetry.SortedKeys(s.Counters) {
+			for _, k := range slices.Sorted(maps.Keys(s.Counters)) {
 				fmt.Fprintf(&b, "  counter %s=%d\n", k, s.Counters[k])
 			}
-			for _, k := range telemetry.SortedKeys(s.Gauges) {
+			for _, k := range slices.Sorted(maps.Keys(s.Gauges)) {
 				fmt.Fprintf(&b, "  gauge %s=%d\n", k, s.Gauges[k])
 			}
-			for _, k := range telemetry.SortedKeys(s.Histograms) {
+			for _, k := range slices.Sorted(maps.Keys(s.Histograms)) {
 				fmt.Fprintf(&b, "  histogram %s count=%d\n", k, s.Histograms[k].Count)
 			}
 		}

@@ -4,9 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -277,85 +274,5 @@ func TestSweepProgressSlowCallback(t *testing.T) {
 		if d != i+1 {
 			t.Fatalf("slow callback broke ordering at %d: %v", i, dones)
 		}
-	}
-}
-
-// TestMetricsHTTPMidSweep drives the live endpoint while a sweep is
-// actually running: /metrics and /progress answer from inside a
-// Progress callback at the halfway mark, and the pprof index is wired.
-func TestMetricsHTTPMidSweep(t *testing.T) {
-	reg := telemetry.New()
-	prog := &telemetry.ProgressTracker{}
-	srv := httptest.NewServer(telemetry.Handler(reg, prog))
-	defer srv.Close()
-
-	get := func(path string, into any) {
-		t.Helper()
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: %d", path, resp.StatusCode)
-		}
-		if into != nil {
-			if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
-				t.Fatalf("GET %s: decode: %v", path, err)
-			}
-		}
-	}
-
-	spec := diskSpec()
-	total := len(spec.Expand())
-	prog.Start(total)
-	var polled bool
-	res, err := Sweep(spec, SweepOptions{Workers: 2, Cache: NewCache(), Metrics: reg,
-		Progress: func(done, totalArg int, cached bool) {
-			prog.Observe(done, totalArg, cached)
-			if done != total/2 {
-				return
-			}
-			polled = true
-			var ps telemetry.ProgressSnapshot
-			get("/progress", &ps)
-			if ps.Done != int64(done) || ps.Total != int64(total) || !ps.Running {
-				t.Errorf("mid-sweep /progress = %+v at done=%d/%d", ps, done, total)
-			}
-			var snap telemetry.Snapshot
-			get("/metrics", &snap)
-			if snap.Histograms["sweep.point.simulate"].Count < int64(done) {
-				t.Errorf("mid-sweep /metrics simulate count = %d, want >= %d",
-					snap.Histograms["sweep.point.simulate"].Count, done)
-			}
-		}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !polled {
-		t.Fatal("halfway progress callback never fired")
-	}
-
-	// After the sweep: progress complete, metrics final.
-	var ps telemetry.ProgressSnapshot
-	get("/progress", &ps)
-	if ps.Done != int64(total) || ps.Running || ps.Simulated != int64(total) {
-		t.Errorf("final /progress = %+v, want done=%d simulated=%d running=false", ps, total, total)
-	}
-	var snap telemetry.Snapshot
-	get("/metrics", &snap)
-	if snap.Counters["sweep.points.simulated"] != int64(res.Configs) {
-		t.Errorf("final /metrics counters = %+v", snap.Counters)
-	}
-
-	// pprof rides along on the same mux.
-	resp, err := http.Get(srv.URL + "/debug/pprof/cmdline")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("pprof cmdline: %d", resp.StatusCode)
 	}
 }

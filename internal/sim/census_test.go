@@ -356,6 +356,27 @@ func TestCensusMemoRacingWorkloads(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestRunMemoHitAllocs pins the allocation budget of a memo-hit Run,
+// the marginal cost of every configuration after the first in its
+// census class: 18 allocs/op on go1.24, budgeted at 20. A census
+// re-profiled on the hit path costs thousands.
+func TestRunMemoHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets do not hold under the race detector")
+	}
+	opt := DefaultOptions()
+	MustRun(WithMonte, "P-256", opt) // warm the memo
+	allocs := testing.AllocsPerRun(50, func() {
+		MustRun(WithMonte, "P-256", opt)
+	})
+	if allocs > 20 {
+		t.Errorf("memo-hit Run = %.1f allocs/op, want <= 20", allocs)
+	}
+}
+
 // TestAssembleZeroCycleTallyNoNaN pins the degenerate-census guard: a
 // phase whose tally prices to zero cycles must produce zero energy and
 // zero power, not NaN (activity and DynamicW both divide by the elapsed

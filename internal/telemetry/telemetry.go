@@ -1,7 +1,7 @@
-// Package telemetry is the zero-dependency observability substrate:
-// a race-safe metrics registry (counters, gauges, log-bucketed latency
-// histograms) with a JSON snapshot, a JSONL run-journal writer, and an
-// HTTP handler exposing live metrics, sweep progress and pprof.
+// Package telemetry is the zero-dependency observability substrate
+// behind dse -stats and -trace: a race-safe metrics registry (counters,
+// gauges, log-bucketed latency histograms) with a JSON snapshot, and a
+// JSONL run-journal writer.
 //
 // Everything here is carried out-of-band of the simulation results:
 // metrics and journal events never enter config keys, hashes, disk
@@ -12,7 +12,6 @@ package telemetry
 import (
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -139,7 +138,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	funcs    map[string]func() int64
 }
 
 // New returns an empty registry.
@@ -148,7 +146,6 @@ func New() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		funcs:    make(map[string]func() int64),
 	}
 }
 
@@ -188,15 +185,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// SetGaugeFunc registers a pull-style gauge evaluated at snapshot time
-// (e.g. a cache's live entry count). The function must be safe to call
-// concurrently; it replaces any previous function under the same name.
-func (r *Registry) SetGaugeFunc(name string, fn func() int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.funcs[name] = fn
-}
-
 // Snapshot is a registry's point-in-time state, JSON-marshalable (maps
 // render with sorted keys, so the wire form is deterministic for a
 // given state).
@@ -206,8 +194,8 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
-// Snapshot captures every metric. Gauge functions are evaluated inline;
-// concurrent updates make the snapshot approximate, never invalid.
+// Snapshot captures every metric. Concurrent updates make the snapshot
+// approximate, never invalid.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	counters := make(map[string]*Counter, len(r.counters))
@@ -222,10 +210,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range r.hists {
 		hists[k] = v
 	}
-	funcs := make(map[string]func() int64, len(r.funcs))
-	for k, v := range r.funcs {
-		funcs[k] = v
-	}
 	r.mu.Unlock()
 
 	s := Snapshot{}
@@ -235,13 +219,10 @@ func (r *Registry) Snapshot() Snapshot {
 			s.Counters[k] = v.Value()
 		}
 	}
-	if len(gauges)+len(funcs) > 0 {
-		s.Gauges = make(map[string]int64, len(gauges)+len(funcs))
+	if len(gauges) > 0 {
+		s.Gauges = make(map[string]int64, len(gauges))
 		for k, v := range gauges {
 			s.Gauges[k] = v.Value()
-		}
-		for k, fn := range funcs {
-			s.Gauges[k] = fn()
 		}
 	}
 	if len(hists) > 0 {
@@ -251,15 +232,4 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// SortedKeys returns a map's keys in sorted order — the iteration order
-// human renderers (the -stats table) should use.
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -49,7 +49,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 
 	"repro/internal/dse"
 	"repro/internal/ec"
@@ -367,9 +366,6 @@ type (
 	// RunJournal appends one JSON object per lifecycle event (sweep
 	// start/point/flush/end) to a writer — an append-only run log.
 	RunJournal = telemetry.Journal
-	// SweepProgressTracker bridges the deterministic SweepOptions.Progress
-	// stream to concurrent readers (e.g. the /progress HTTP endpoint).
-	SweepProgressTracker = telemetry.ProgressTracker
 	// SweepTiming is the out-of-band wall-clock breakdown of one
 	// instrumented sweep (SweepResult.Timing).
 	SweepTiming = dse.SweepTiming
@@ -382,14 +378,6 @@ func NewMetrics() *Metrics { return telemetry.New() }
 // are serialized and best-effort: a write error is remembered (Err) but
 // never fails the instrumented work.
 func NewRunJournal(w io.Writer) *RunJournal { return telemetry.NewJournal(w) }
-
-// TelemetryHandler serves a registry and progress tracker over HTTP:
-// /metrics (registry snapshot as JSON), /progress (live sweep progress),
-// and the standard pprof handlers under /debug/pprof/. Either argument
-// may be nil.
-func TelemetryHandler(reg *Metrics, prog *SweepProgressTracker) http.Handler {
-	return telemetry.Handler(reg, prog)
-}
 
 // EnableSimMetrics points the simulator's per-phase instrumentation
 // (profiling-vs-pricing split, assembly cost) at reg; nil disables it.
@@ -411,16 +399,6 @@ func SweepCacheStats() (hits, misses uint64, entries int) {
 // zeroes its counters, scoping subsequent SweepCacheStats readings to
 // the sweeps that follow.
 func ResetSweepCache() { dse.SharedCache().Reset() }
-
-// RegisterCacheMetrics surfaces the process-wide result cache in a
-// registry as live gauges cache.hits / cache.misses / cache.entries,
-// sampled at snapshot time.
-func RegisterCacheMetrics(reg *Metrics) {
-	c := dse.SharedCache()
-	reg.SetGaugeFunc("cache.hits", func() int64 { h, _ := c.Stats(); return int64(h) })
-	reg.SetGaugeFunc("cache.misses", func() int64 { _, m := c.Stats(); return int64(m) })
-	reg.SetGaugeFunc("cache.entries", func() int64 { return int64(c.Len()) })
-}
 
 // Experiment regenerates one of the paper's tables or figures by
 // identifier (see ExperimentNames).
