@@ -88,7 +88,8 @@ func (f *Field) Add(z, a, b Elem) {
 // Mul sets z = a*b mod f.
 func (f *Field) Mul(z, a, b Elem) {
 	f.Counters.Mul++
-	c := make(Elem, 2*f.K)
+	var buf [2 * stackWords]uint32
+	c := scratch(buf[:], 2*f.K)
 	if f.Alg == Comb {
 		MulComb(c, a, b)
 	} else {
@@ -101,7 +102,8 @@ func (f *Field) Mul(z, a, b Elem) {
 // Sqr sets z = a^2 mod f.
 func (f *Field) Sqr(z, a Elem) {
 	f.Counters.Sqr++
-	c := make(Elem, 2*f.K)
+	var buf [2 * stackWords]uint32
+	c := scratch(buf[:], 2*f.K)
 	if f.Alg == Comb {
 		SqrTable(c, a)
 	} else {
@@ -116,7 +118,8 @@ func (f *Field) Sqr(z, a Elem) {
 // (e.g. Algorithm 7 for B-163): every bit at position m+j folds back to
 // positions j + e for e in {terms..., 0}.
 func (f *Field) ReduceFull(z Elem, c Elem) {
-	t := make(Elem, len(c))
+	var buf [2 * stackWords]uint32
+	t := scratch(buf[:], len(c))
 	copy(t, c)
 	m := f.M
 	// Process from the top word down; repeat in case folds re-set high
@@ -145,9 +148,10 @@ func (f *Field) ReduceFull(z Elem, c Elem) {
 			}
 			t[i] = 0
 			base := 32*i - m
-			for _, e := range append(f.Terms, 0) {
+			for _, e := range f.Terms {
 				xorShifted(t, w, base+e)
 			}
+			xorShifted(t, w, base)
 		}
 		// Handle the partial top word: bits m..(32*(m/32+1)-1).
 		i := m / 32
@@ -155,9 +159,10 @@ func (f *Field) ReduceFull(z Elem, c Elem) {
 		w := t[i] >> sh
 		if w != 0 {
 			t[i] &= (1 << sh) - 1
-			for _, e := range append(f.Terms, 0) {
+			for _, e := range f.Terms {
 				xorShifted(t, w, e)
 			}
+			xorShifted(t, w, 0)
 		}
 	}
 	copy(z, t[:f.K])

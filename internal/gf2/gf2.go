@@ -201,50 +201,84 @@ func MulCl(z, a, b Elem) {
 
 // MulComb sets z = a * b (unreduced, 2k words) using the left-to-right comb
 // method with 4-bit windows (Algorithm 6), the software-only multiplication
-// for processors without a carry-less multiplier.
+// for processors without a carry-less multiplier. z may alias a or b.
+//
+// The host runs the comb on 64-bit limbs, half the XOR and shift work of
+// 32-bit ones; the Algorithm 6 kernel the model prices (kernels.MulComb)
+// stays on the 32-bit datapath. Fields up to stackWords words run on stack
+// scratch, larger ones on heap scratch.
 func MulComb(z, a, b Elem) {
 	const w = 4
 	k := len(a)
-	// Precompute Bu = u(x)·b(x) for all u of degree < 4.
-	var tab [16]Elem
-	tab[0] = New(k + 1)
-	tab[1] = make(Elem, k+1)
-	copy(tab[1], b)
+	n := (k + 1) / 2 // 64-bit limbs per operand
+	var abuf, bbuf [stackWords / 2]uint64
+	var tbuf [16 * (stackWords/2 + 1)]uint64
+	var cbuf [stackWords]uint64
+	a64, b64 := scratch(abuf[:], n), scratch(bbuf[:], n)
+	pack(a64, a)
+	pack(b64, b)
+	// Precompute Bu = u(x)·b(x) for all u of degree < 4, n+1 limbs each
+	// (scratch starts zeroed).
+	tab := scratch(tbuf[:], 16*(n+1))
+	copy(tab[n+1:], b64)
 	for u := 2; u < 16; u += 2 {
 		// tab[u] = tab[u/2] << 1 ; tab[u+1] = tab[u] + b
-		tab[u] = make(Elem, k+1)
-		var carry uint32
-		for i := 0; i <= k; i++ {
-			tab[u][i] = tab[u/2][i]<<1 | carry
-			carry = tab[u/2][i] >> 31
+		src, even, odd := tab[u/2*(n+1):][:n+1], tab[u*(n+1):][:n+1], tab[(u+1)*(n+1):][:n+1]
+		var carry uint64
+		for i := range even {
+			even[i] = src[i]<<1 | carry
+			carry = src[i] >> 63
 		}
-		tab[u+1] = make(Elem, k+1)
-		copy(tab[u+1], tab[u])
-		for i := 0; i < k; i++ {
-			tab[u+1][i] ^= b[i]
+		copy(odd, even)
+		for i, bw := range b64 {
+			odd[i] ^= bw
 		}
 	}
-	c := make(Elem, 2*k+1)
-	for j := 32/w - 1; j >= 0; j-- {
-		for i := 0; i < k; i++ {
-			u := (a[i] >> uint(w*j)) & 0xf
-			if u != 0 {
-				for l := 0; l <= k; l++ {
-					c[i+l] ^= tab[u][l]
+	c := scratch(cbuf[:], 2*n)
+	for j := 64/w - 1; j >= 0; j-- {
+		for i, aw := range a64 {
+			if u := (aw >> uint(w*j)) & 0xf; u != 0 {
+				row, ci := tab[int(u)*(n+1):][:n+1], c[i:][:n+1]
+				for l, t := range row {
+					ci[l] ^= t
 				}
 			}
 		}
 		if j != 0 {
 			// c <<= w
-			var carry uint32
-			for i := 0; i < len(c); i++ {
-				nc := c[i] >> (32 - w)
-				c[i] = c[i]<<w | carry
-				carry = nc
+			var carry uint64
+			for i, cw := range c {
+				c[i] = cw<<w | carry
+				carry = cw >> (64 - w)
 			}
 		}
 	}
-	copy(z, c[:2*k])
+	for i := range z[:2*k] {
+		z[i] = uint32(c[i/2] >> (32 * uint(i%2)))
+	}
+}
+
+// stackWords bounds the field size, in 32-bit words, whose multiplication
+// and reduction scratch lives on the stack: B-571 is 18 words.
+const stackWords = 18
+
+// scratch returns buf[:n], or a fresh slice when n exceeds buf.
+func scratch[T uint32 | uint64](buf []T, n int) []T {
+	if n > len(buf) {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// pack packs the 32-bit words of a into the 64-bit limbs z, low word first;
+// an odd top word is zero-extended.
+func pack(z []uint64, a Elem) {
+	for i := range z {
+		z[i] = uint64(a[2*i])
+		if 2*i+1 < len(a) {
+			z[i] |= uint64(a[2*i+1]) << 32
+		}
+	}
 }
 
 // sqrTable maps an 8-bit polynomial to its 16-bit square (zeros interleaved)

@@ -1,6 +1,7 @@
 package gf2
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -76,45 +77,88 @@ func TestClMulWord(t *testing.T) {
 	}
 }
 
+// edgeOperands returns k-word operands that stress limb packing and the
+// comb's window and shift carries: all-ones, top-bit-only and random.
+func edgeOperands(r *rand.Rand, k int) []Elem {
+	ones, top, rnd := New(k), New(k), New(k)
+	for i := range ones {
+		ones[i] = ^uint32(0)
+		rnd[i] = r.Uint32()
+	}
+	top[k-1] = 1 << 31
+	return []Elem{ones, top, rnd}
+}
+
 func TestMulVariantsAgainstBig(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
+	type tc struct {
+		name string
+		a, b Elem
+	}
+	var cases []tc
 	for _, name := range BinaryFieldNames {
 		f := NISTField(name, Comb)
 		for i := 0; i < 50; i++ {
-			a, b := randElem(r, f), randElem(r, f)
-			want := bigClMul(toBig(a), toBig(b))
-			zc := New(2 * f.K)
-			MulComb(zc, a, b)
-			if toBig(zc).Cmp(want) != 0 {
-				t.Fatalf("%s MulComb mismatch\n a=%s\n b=%s\n got=%s\n want=%x",
-					name, a.Hex(), b.Hex(), zc.Hex(), want)
+			cases = append(cases, tc{name, randElem(r, f), randElem(r, f)})
+		}
+	}
+	// Every word count up to one past the stack bound: odd and even
+	// 64-bit limb packing, and the heap-scratch path.
+	for k := 1; k <= stackWords+1; k++ {
+		ops := edgeOperands(r, k)
+		for _, a := range ops {
+			for _, b := range ops {
+				cases = append(cases, tc{fmt.Sprintf("k=%d", k), a, b})
 			}
-			zl := New(2 * f.K)
-			MulCl(zl, a, b)
-			if toBig(zl).Cmp(want) != 0 {
-				t.Fatalf("%s MulCl mismatch", name)
-			}
+		}
+	}
+	for _, c := range cases {
+		k := len(c.a)
+		want := bigClMul(toBig(c.a), toBig(c.b))
+		zc := New(2 * k)
+		MulComb(zc, c.a, c.b)
+		if toBig(zc).Cmp(want) != 0 {
+			t.Fatalf("%s MulComb mismatch\n a=%s\n b=%s\n got=%s\n want=%x",
+				c.name, c.a.Hex(), c.b.Hex(), zc.Hex(), want)
+		}
+		zl := New(2 * k)
+		MulCl(zl, c.a, c.b)
+		if toBig(zl).Cmp(want) != 0 {
+			t.Fatalf("%s MulCl mismatch\n a=%s\n b=%s", c.name, c.a.Hex(), c.b.Hex())
 		}
 	}
 }
 
 func TestSqrVariantsAgainstBig(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
+	type tc struct {
+		name string
+		a    Elem
+	}
+	var cases []tc
 	for _, name := range BinaryFieldNames {
 		f := NISTField(name, Comb)
 		for i := 0; i < 50; i++ {
-			a := randElem(r, f)
-			want := bigClMul(toBig(a), toBig(a))
-			z1 := New(2 * f.K)
-			SqrTable(z1, a)
-			if toBig(z1).Cmp(want) != 0 {
-				t.Fatalf("%s SqrTable mismatch", name)
-			}
-			z2 := New(2 * f.K)
-			SqrCl(z2, a)
-			if toBig(z2).Cmp(want) != 0 {
-				t.Fatalf("%s SqrCl mismatch", name)
-			}
+			cases = append(cases, tc{name, randElem(r, f)})
+		}
+	}
+	for k := 1; k <= stackWords+1; k++ {
+		for _, a := range edgeOperands(r, k) {
+			cases = append(cases, tc{fmt.Sprintf("k=%d", k), a})
+		}
+	}
+	for _, c := range cases {
+		k := len(c.a)
+		want := bigClMul(toBig(c.a), toBig(c.a))
+		z1 := New(2 * k)
+		SqrTable(z1, c.a)
+		if toBig(z1).Cmp(want) != 0 {
+			t.Fatalf("%s SqrTable mismatch: a=%s", c.name, c.a.Hex())
+		}
+		z2 := New(2 * k)
+		SqrCl(z2, c.a)
+		if toBig(z2).Cmp(want) != 0 {
+			t.Fatalf("%s SqrCl mismatch: a=%s", c.name, c.a.Hex())
 		}
 	}
 }
@@ -140,11 +184,17 @@ func TestReduction(t *testing.T) {
 	}
 }
 
+// wideField returns GF(2^607) by x^607 + x^105 + 1: 19 words, one past
+// the stack scratch bound, so its field operations run on heap scratch.
+func wideField(alg MulAlg) *Field { return NewField("F-607", 607, []int{105}, alg) }
+
 func TestFieldMul(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
-	for _, name := range BinaryFieldNames {
-		fc := NISTField(name, Comb)
-		fl := NISTField(name, CLMul)
+	for _, name := range append(BinaryFieldNames, "F-607") {
+		fc, fl := wideField(Comb), wideField(CLMul)
+		if name != "F-607" {
+			fc, fl = NISTField(name, Comb), NISTField(name, CLMul)
+		}
 		fb := fc.bigModulus()
 		for i := 0; i < 40; i++ {
 			a, b := randElem(r, fc), randElem(r, fc)
@@ -159,6 +209,38 @@ func TestFieldMul(t *testing.T) {
 			ws := bigMod(bigClMul(toBig(a), toBig(a)), fb)
 			if toBig(z1).Cmp(ws) != 0 {
 				t.Fatalf("%s field sqr mismatch", name)
+			}
+		}
+	}
+}
+
+// TestFieldMulAliasing covers the in-place forms the curve layer uses,
+// f.Sqr(t, t) and f.Mul(t, t, h): the product must not be corrupted by
+// writing z while a or b is still being read.
+func TestFieldMulAliasing(t *testing.T) {
+	r := rand.New(rand.NewSource(10))
+	for _, name := range BinaryFieldNames {
+		for _, alg := range []MulAlg{Comb, CLMul} {
+			f := NISTField(name, alg)
+			fb := f.bigModulus()
+			for i := 0; i < 10; i++ {
+				a, b := randElem(r, f), randElem(r, f)
+				wantMul := bigMod(bigClMul(toBig(a), toBig(b)), fb)
+				wantSqr := bigMod(bigClMul(toBig(a), toBig(a)), fb)
+				za := a.Clone()
+				f.Mul(za, za, b)
+				zb := b.Clone()
+				f.Mul(zb, a, zb)
+				zs := a.Clone()
+				f.Sqr(zs, zs)
+				zm := a.Clone()
+				f.Mul(zm, zm, zm)
+				if toBig(za).Cmp(wantMul) != 0 || toBig(zb).Cmp(wantMul) != 0 {
+					t.Fatalf("%s/%v: aliased Mul mismatch", name, alg)
+				}
+				if toBig(zs).Cmp(wantSqr) != 0 || toBig(zm).Cmp(wantSqr) != 0 {
+					t.Fatalf("%s/%v: aliased Sqr mismatch", name, alg)
+				}
 			}
 		}
 	}

@@ -52,7 +52,7 @@ type Field struct {
 	N0Inv  uint32 // -p^-1 mod 2^32
 	RR     Int    // R^2 mod p, R = 2^(32k)
 	One    Int
-	reduce func(p Int, c Int) Int // NIST fast reduction; nil → Montgomery only
+	reduce int // NIST prime whose fast reduction applies (192…521); 0 → Montgomery
 
 	// Counters tracks how many of each field operation ran; the
 	// simulation layer reads these to cost a workload.
@@ -76,16 +76,8 @@ func NewField(name string, bits int, p Int, alg MulAlg) *Field {
 	f.One = New(k)
 	f.One[0] = 1
 	switch name {
-	case "P-192":
-		f.reduce = reduce192
-	case "P-224":
-		f.reduce = reduce224
-	case "P-256":
-		f.reduce = reduce256
-	case "P-384":
-		f.reduce = reduce384
-	case "P-521":
-		f.reduce = reduce521
+	case "P-192", "P-224", "P-256", "P-384", "P-521":
+		f.reduce = bits
 	}
 	// RR = 2^(64k) mod p, computed by repeated doubling.
 	rr := New(k)
@@ -156,14 +148,15 @@ func (f *Field) Mul(z, a, b Int) {
 	f.Counters.Mul++
 	switch f.Alg {
 	case OSNIST, PSNIST:
-		c := make(Int, 2*f.K)
+		var buf [2 * stackWords]uint32
+		c := scratch(buf[:], 2*f.K)
 		if f.Alg == OSNIST {
 			MulOS(c, a, b)
 		} else {
 			MulPS(c, a, b)
 		}
 		f.Counters.Red++
-		copy(z, f.fastReduce(c))
+		f.fastReduce(z, c)
 	case CIOS, FIPS:
 		// aR * b * R^-1 = a*b; convert a into the Montgomery domain
 		// first, then one more Montgomery multiply by b.
@@ -177,16 +170,16 @@ func (f *Field) Mul(z, a, b Int) {
 func (f *Field) Sqr(z, a Int) {
 	f.Counters.Sqr++
 	switch f.Alg {
-	case OSNIST:
-		c := make(Int, 2*f.K)
-		MulOS(c, a, a)
+	case OSNIST, PSNIST:
+		var buf [2 * stackWords]uint32
+		c := scratch(buf[:], 2*f.K)
+		if f.Alg == OSNIST {
+			MulOS(c, a, a)
+		} else {
+			SqrPS(c, a)
+		}
 		f.Counters.Red++
-		copy(z, f.fastReduce(c))
-	case PSNIST:
-		c := make(Int, 2*f.K)
-		SqrPS(c, a)
-		f.Counters.Red++
-		copy(z, f.fastReduce(c))
+		f.fastReduce(z, c)
 	default:
 		t := make(Int, f.K)
 		f.montMul(t, a, f.RR)
@@ -218,20 +211,47 @@ func (f *Field) MontMul(z, a, b Int) {
 
 // FastReduce reduces a full 2k-word product with the field's NIST routine
 // (or Montgomery fallback); exported for the kernel cross-checks.
-func (f *Field) FastReduce(c Int) Int { return f.fastReduce(c) }
+func (f *Field) FastReduce(c Int) Int {
+	z := New(f.K)
+	f.fastReduce(z, c)
+	return z
+}
 
-func (f *Field) fastReduce(c Int) Int {
-	if f.reduce == nil {
-		// Fallback for moduli without a NIST routine: Montgomery
-		// REDC twice (c*R^-1 then multiply by RR... simpler: REDC
-		// then fix with RR).
-		t := make(Int, f.K)
-		MontREDC(t, c, f.P, f.N0Inv) // t = c R^-1
-		z := make(Int, f.K)
-		MontMulCIOS(z, t, f.RR, f.P, f.N0Inv) // z = c
-		return z
+// stackWords bounds the field size, in 32-bit words, whose product buffer
+// lives on the stack: P-521 is 17 words.
+const stackWords = 17
+
+// scratch returns buf[:n], or a fresh slice when n exceeds buf.
+func scratch(buf []uint32, n int) Int {
+	if n > len(buf) {
+		return make(Int, n)
 	}
-	return f.reduce(f.P, c)
+	return buf[:n]
+}
+
+// fastReduce sets z = c mod p for a 2k-word c. The routine is chosen by a
+// switch rather than a function value: through an indirect call the
+// caller's product buffer would escape to the heap.
+func (f *Field) fastReduce(z, c Int) {
+	switch f.reduce {
+	case 192:
+		reduce192(z, f.P, c)
+	case 224:
+		reduce224(z, f.P, c)
+	case 256:
+		reduce256(z, f.P, c)
+	case 384:
+		reduce384(z, f.P, c)
+	case 521:
+		reduce521(z, f.P, c)
+	default:
+		// Moduli without a NIST routine: REDC gives c·R^-1, and one
+		// Montgomery multiplication by RR = R^2 mod p restores c mod p.
+		var buf [stackWords]uint32
+		t := scratch(buf[:], f.K)
+		MontREDC(t, c, f.P, f.N0Inv)
+		MontMulCIOS(z, t, f.RR, f.P, f.N0Inv)
+	}
 }
 
 // Inv sets z = a^-1 mod p using the binary extended Euclidean algorithm

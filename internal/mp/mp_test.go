@@ -172,7 +172,7 @@ func TestNISTReduction(t *testing.T) {
 			a, b := randMod(r, f.P), randMod(r, f.P)
 			c := New(2 * f.K)
 			MulOS(c, a, b)
-			got := f.fastReduce(c)
+			got := f.FastReduce(c)
 			want := new(big.Int).Mul(toBig(a), toBig(b))
 			want.Mod(want, pb)
 			if toBig(got).Cmp(want) != 0 {
@@ -251,8 +251,16 @@ func TestFieldMulAllAlgsAgree(t *testing.T) {
 			NISTField(name, CIOS), NISTField(name, FIPS),
 		}
 		pb := toBig(fields[0].P)
+		// p−1 is the largest operand: the widest product and the most
+		// folds in every NIST reduction.
+		pm1 := New(fields[0].K)
+		Sub(pm1, fields[0].P, fields[0].One)
+		pairs := [][2]Int{{pm1, pm1}, {pm1, fields[0].One}, {pm1, randMod(r, fields[0].P)}}
 		for i := 0; i < 40; i++ {
-			a, b := randMod(r, fields[0].P), randMod(r, fields[0].P)
+			pairs = append(pairs, [2]Int{randMod(r, fields[0].P), randMod(r, fields[0].P)})
+		}
+		for _, pair := range pairs {
+			a, b := pair[0], pair[1]
 			want := new(big.Int).Mul(toBig(a), toBig(b))
 			want.Mod(want, pb)
 			for _, f := range fields {
@@ -267,6 +275,39 @@ func TestFieldMulAllAlgsAgree(t *testing.T) {
 				ws.Mod(ws, pb)
 				if toBig(z2).Cmp(ws) != 0 {
 					t.Fatalf("%s alg=%v sqr mismatch", name, f.Alg)
+				}
+			}
+		}
+	}
+}
+
+// TestFieldMulAliasing covers the in-place forms the curve layer uses,
+// f.Sqr(t, t) and f.Mul(t, t, h), on every algorithm.
+func TestFieldMulAliasing(t *testing.T) {
+	r := rand.New(rand.NewSource(14))
+	for _, name := range PrimeFieldNames {
+		for _, alg := range []MulAlg{OSNIST, PSNIST, CIOS, FIPS} {
+			f := NISTField(name, alg)
+			pb := toBig(f.P)
+			for i := 0; i < 10; i++ {
+				a, b := randMod(r, f.P), randMod(r, f.P)
+				wantMul := new(big.Int).Mul(toBig(a), toBig(b))
+				wantMul.Mod(wantMul, pb)
+				wantSqr := new(big.Int).Mul(toBig(a), toBig(a))
+				wantSqr.Mod(wantSqr, pb)
+				za := a.Clone()
+				f.Mul(za, za, b)
+				zb := b.Clone()
+				f.Mul(zb, a, zb)
+				zs := a.Clone()
+				f.Sqr(zs, zs)
+				zm := a.Clone()
+				f.Mul(zm, zm, zm)
+				if toBig(za).Cmp(wantMul) != 0 || toBig(zb).Cmp(wantMul) != 0 {
+					t.Fatalf("%s/%v: aliased Mul mismatch", name, alg)
+				}
+				if toBig(zs).Cmp(wantSqr) != 0 || toBig(zm).Cmp(wantSqr) != 0 {
+					t.Fatalf("%s/%v: aliased Sqr mismatch", name, alg)
 				}
 			}
 		}

@@ -377,6 +377,24 @@ func TestRunMemoHitAllocs(t *testing.T) {
 	}
 }
 
+// TestCensusAllocs pins the allocation budget of a census miss on the
+// largest curve: profiling B-571 across all four phases makes 32.1k
+// allocations on go1.24, budgeted at 35.3k. Field kernels that
+// heap-allocate their scratch cost over a million.
+func TestCensusAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets do not hold under the race detector")
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := profileCurve("B-571", profileOrder); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 35300 {
+		t.Errorf("B-571 census = %.0f allocs, want <= 35300", allocs)
+	}
+}
+
 // TestAssembleZeroCycleTallyNoNaN pins the degenerate-census guard: a
 // phase whose tally prices to zero cycles must produce zero energy and
 // zero power, not NaN (activity and DynamicW both divide by the elapsed
