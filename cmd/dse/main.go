@@ -14,13 +14,11 @@
 //	dse -sweep -workers 8 -json  # machine-readable, 8-way parallel
 //	dse -sweep -pareto           # energy-vs-latency frontier only
 //	dse -sweep -cache-dir .dse   # persist results; re-sweeps are near-free
-//	dse -sweep -progress         # live per-point counter on stderr
 //	dse -sweep -workload ecdh,handshake  # sweep exactly these scenarios
 //	                                     # (replaces the default sign-verify axis)
 //	dse -sweep -curves P-192,B-163       # restrict the curve axis
 //	dse -sweep -adaptive                 # Pareto-guided exploration: the per-level
 //	                                     # frontiers without pricing the whole grid
-//	dse -sweep -adaptive -adaptive-budget 200  # cap evaluated configurations
 //	dse -sweep -stats                    # where the time went: census vs pricing,
 //	                                     # sweep stages, counters
 //	dse -sweep -trace run.jsonl          # append a JSONL journal of the run's stages
@@ -43,7 +41,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
+	"time"
 
 	"repro"
 )
@@ -59,11 +59,9 @@ func main() {
 		workers  = flag.Int("workers", 0, "sweep worker-pool width (0 = GOMAXPROCS)")
 		jsonOut  = flag.Bool("json", false, "with -sweep: machine-readable JSON output")
 		cacheDir = flag.String("cache-dir", "", "with -sweep: persist the result cache in this directory so repeated sweeps are served from disk")
-		progress = flag.Bool("progress", false, "with -sweep: render a live per-point progress counter to stderr")
 		curves   = flag.String("curves", "", "with -sweep: comma-separated curve subset replacing the full 10-curve axis")
 
-		adaptive       = flag.Bool("adaptive", false, "with -sweep: adaptive Pareto-guided exploration — refine around the live per-security-level frontiers instead of pricing the whole grid")
-		adaptiveBudget = flag.Int("adaptive-budget", 0, "with -sweep -adaptive: evaluate at most this many configurations (0 = explore until the frontiers stop moving)")
+		adaptive = flag.Bool("adaptive", false, "with -sweep: adaptive Pareto-guided exploration — refine around the live per-security-level frontiers instead of pricing the whole grid")
 
 		stats     = flag.Bool("stats", false, "after a -sweep or -arch run: print collected telemetry (per-phase census-vs-pricing split, sweep stage timing, cache counters)")
 		traceFile = flag.String("trace", "", "with -sweep: append one JSON event per run stage (sweep start/point/load/flush/end, adaptive rounds) to this file")
@@ -102,9 +100,8 @@ func main() {
 	if msg := conflictError(cliFlags{
 		list: *list, sweep: *sweep, all: *all,
 		exp: *exp, arch: *arch,
-		workload: workload, curves: *curves,
-		adaptive: *adaptive, adaptiveBudget: *adaptiveBudget,
-		jsonOut: *jsonOut, pareto: *pareto, progress: *progress,
+		workload: workload, curves: *curves, adaptive: *adaptive,
+		jsonOut: *jsonOut, pareto: *pareto,
 		workers: *workers, stats: *stats,
 		traceFile: *traceFile, cacheDir: *cacheDir,
 		axisFlags: axisFlags,
@@ -124,8 +121,7 @@ func main() {
 		err := runSweep(sweepConfig{
 			workers: *workers, paretoOnly: *pareto, jsonOut: *jsonOut,
 			cacheDir: *cacheDir, workloads: workload, curves: *curves,
-			progress: *progress, stats: *stats, traceFile: *traceFile,
-			adaptive: *adaptive, adaptiveBudget: *adaptiveBudget,
+			stats: *stats, traceFile: *traceFile, adaptive: *adaptive,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -171,7 +167,7 @@ func main() {
 		printResult(r)
 		if reg != nil {
 			fmt.Println()
-			printStats(os.Stdout, reg, nil)
+			printStats(os.Stdout, reg, 0)
 		}
 	default:
 		flag.Usage()
@@ -185,23 +181,21 @@ type sweepConfig struct {
 	paretoOnly, jsonOut bool
 	cacheDir, workloads string
 	curves              string
-	progress, stats     bool
+	stats               bool
 	traceFile           string
 	adaptive            bool
-	adaptiveBudget      int
 }
 
 // cliFlags captures the parsed flag state the coherence rules inspect.
 type cliFlags struct {
-	list, sweep, all          bool
-	exp, arch                 string
-	workload, curves          string
-	adaptive                  bool
-	adaptiveBudget            int
-	jsonOut, pareto, progress bool
-	workers                   int
-	stats                     bool
-	traceFile, cacheDir       string
+	list, sweep, all    bool
+	exp, arch           string
+	workload, curves    string
+	adaptive            bool
+	jsonOut, pareto     bool
+	workers             int
+	stats               bool
+	traceFile, cacheDir string
 	// axisFlags are non-workload design-space flags set without -arch
 	// (they configure a single -arch run only).
 	axisFlags []string
@@ -231,13 +225,13 @@ func conflictError(c cliFlags) string {
 		return "-curves applies to -sweep only"
 	case c.adaptive && !c.sweep:
 		return "-adaptive applies to -sweep only: adaptive exploration refines the sweep grid (run dse -sweep -adaptive)"
-	case c.adaptiveBudget != 0 && !c.adaptive:
-		return "-adaptive-budget applies to -sweep -adaptive only"
+	case c.workers < 0:
+		return fmt.Sprintf("-workers %d: want a pool width >= 0 (0 = GOMAXPROCS)", c.workers)
 	}
 	if !c.sweep {
 		switch {
-		case c.jsonOut || c.pareto || c.workers != 0 || c.progress:
-			return "-json, -pareto, -workers and -progress apply to -sweep only"
+		case c.jsonOut || c.pareto || c.workers != 0:
+			return "-json, -pareto and -workers apply to -sweep only"
 		case c.stats && c.arch == "":
 			return "-stats applies to -sweep and -arch runs only"
 		case c.traceFile != "":
@@ -275,25 +269,15 @@ func openJournal(path string) (*repro.RunJournal, func(), error) {
 // as text or JSON.
 func runSweep(cfg sweepConfig) error {
 	spec := repro.FullSweepSpec()
+	var err error
 	if cfg.workloads != "" {
-		for _, wl := range strings.Split(cfg.workloads, ",") {
-			wl = strings.TrimSpace(wl)
-			if wl == "" {
-				return fmt.Errorf("empty workload name in -workload %q (want a comma-separated subset of %v)",
-					cfg.workloads, repro.WorkloadNames())
-			}
-			spec.Workloads = append(spec.Workloads, wl)
+		if spec.Workloads, err = parseNames("workload", "workload", cfg.workloads, repro.WorkloadNames()); err != nil {
+			return err
 		}
 	}
 	if cfg.curves != "" {
-		spec.Curves = nil
-		for _, c := range strings.Split(cfg.curves, ",") {
-			c = strings.TrimSpace(c)
-			if c == "" {
-				return fmt.Errorf("empty curve name in -curves %q (want a comma-separated subset of %v)",
-					cfg.curves, repro.CurveNames())
-			}
-			spec.Curves = append(spec.Curves, c)
+		if spec.Curves, err = parseNames("curves", "curve", cfg.curves, repro.CurveNames()); err != nil {
+			return err
 		}
 	}
 	opt := repro.SweepOptions{Workers: cfg.workers, CacheDir: cfg.cacheDir}
@@ -313,26 +297,12 @@ func runSweep(cfg sweepConfig) error {
 	defer closeJournal()
 	opt.Journal = journal
 
-	// The progress callback only paints the live \r-overwritten counter;
-	// the newline-terminated final tally is printed after Sweep returns
-	// (success or failure), so an aborted sweep never leaves a stale
-	// partial line for the next output to collide with.
-	var lastDone, cachedSoFar int
-	if cfg.progress {
-		opt.Progress = func(done, total int, fromCache bool) {
-			lastDone = done
-			if fromCache {
-				cachedSoFar++
-			}
-			fmt.Fprintf(os.Stderr, "\rsweep: %d/%d configurations (%d cached)", done, total, cachedSoFar)
-		}
-	}
 	var (
 		res *repro.SweepResult
 		ar  *repro.AdaptiveResult
 	)
+	start := time.Now()
 	if cfg.adaptive {
-		opt.AdaptiveBudget = cfg.adaptiveBudget
 		ar, err = repro.AdaptiveSweep(spec, opt)
 		if ar != nil {
 			res = ar.Result
@@ -340,21 +310,7 @@ func runSweep(cfg sweepConfig) error {
 	} else {
 		res, err = repro.Sweep(spec, opt)
 	}
-	if lastDone > 0 {
-		// Terminate (and on failure, visibly close off) the live line.
-		fmt.Fprintln(os.Stderr)
-	}
-	if cfg.progress {
-		simulated, cached := lastDone-cachedSoFar, cachedSoFar
-		if res != nil {
-			simulated, cached = int(res.CacheMisses), int(res.CacheHits)
-		}
-		status := "done"
-		if err != nil {
-			status = "failed"
-		}
-		fmt.Fprintf(os.Stderr, "sweep %s: %d simulated, %d cached\n", status, simulated, cached)
-	}
+	total := time.Since(start)
 	if err != nil {
 		return err
 	}
@@ -372,10 +328,6 @@ func runSweep(cfg sweepConfig) error {
 			ar.Evaluated, ar.GridConfigs,
 			100*float64(ar.Evaluated)/float64(max(ar.GridConfigs, 1)),
 			ar.Rounds, ar.Pruned, ar.FrontierMoves)
-		if ar.BudgetHit {
-			fmt.Printf("stopped on -adaptive-budget %d before the frontiers converged; the frontiers below may be incomplete\n",
-				cfg.adaptiveBudget)
-		}
 	}
 	switch {
 	case cfg.jsonOut && cfg.paretoOnly:
@@ -435,9 +387,29 @@ func runSweep(cfg sweepConfig) error {
 		} else {
 			fmt.Println()
 		}
-		printStats(w, reg, res.Timing)
+		printStats(w, reg, total)
 	}
 	return nil
+}
+
+// parseNames splits a comma-separated -flag list of axis values. Every
+// name must be non-empty and appear once: a repeated name would not add
+// a configuration, only inflate the raw grid count.
+func parseNames(flagName, noun, list string, valid []string) ([]string, error) {
+	var names []string
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(name)
+		switch {
+		case name == "":
+			return nil, fmt.Errorf("empty %s name in -%s %q (want a comma-separated subset of %v)",
+				noun, flagName, list, valid)
+		case slices.Contains(names, name):
+			return nil, fmt.Errorf("repeated %s name %q in -%s %q (name each %s once)",
+				noun, name, flagName, list, noun)
+		}
+		names = append(names, name)
+	}
+	return names, nil
 }
 
 // printPoints renders a point table.

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"repro"
 )
 
 // TestConflictError pins every flag-coherence rejection (and the
@@ -27,16 +31,17 @@ func TestConflictError(t *testing.T) {
 		{"trace-alone", cliFlags{traceFile: "t.jsonl"}, "-trace applies to -sweep only"},
 		{"cache-dir-alone", cliFlags{cacheDir: ".dse"}, "-cache-dir applies to -sweep only"},
 
-		// Adaptive exploration: needs -sweep, and the budget knob is
-		// meaningless without it.
+		// Adaptive exploration needs -sweep.
 		{"adaptive-no-sweep", cliFlags{adaptive: true}, "-adaptive applies to -sweep only"},
 		{"adaptive-with-arch", cliFlags{arch: "monte", adaptive: true}, "-adaptive applies to -sweep only"},
-		{"budget-no-adaptive", cliFlags{sweep: true, adaptiveBudget: 100}, "-adaptive-budget applies to -sweep -adaptive only"},
+
+		// A negative pool width is an error, not a silent GOMAXPROCS.
+		{"negative-workers", cliFlags{sweep: true, workers: -3}, "-workers -3: want a pool width >= 0"},
 
 		// Coherent combinations must stay accepted.
 		{"plain-sweep", cliFlags{sweep: true}, ""},
 		{"sweep-adaptive", cliFlags{sweep: true, adaptive: true}, ""},
-		{"sweep-adaptive-budget", cliFlags{sweep: true, adaptive: true, adaptiveBudget: 100}, ""},
+		{"sweep-workers", cliFlags{sweep: true, workers: 3}, ""},
 		{"sweep-adaptive-full", cliFlags{sweep: true, adaptive: true, jsonOut: true, pareto: true, stats: true, cacheDir: ".dse"}, ""},
 		{"arch-run", cliFlags{arch: "monte", workload: "ecdh", stats: true}, ""},
 	}
@@ -53,5 +58,84 @@ func TestConflictError(t *testing.T) {
 				t.Fatalf("conflictError(%+v) = %q, want message naming %q", c.in, got, c.want)
 			}
 		})
+	}
+}
+
+// TestParseNames pins the -workload/-curves list parsing: names are
+// trimmed and kept in order, and an empty or repeated name is an error
+// (a repeated one would inflate the raw grid count without adding a
+// configuration).
+func TestParseNames(t *testing.T) {
+	valid := []string{"P-192", "B-163"}
+	cases := []struct {
+		list string
+		want []string
+		err  string // substring of the error; "" = accepted
+	}{
+		{"P-192", []string{"P-192"}, ""},
+		{"P-192, B-163", []string{"P-192", "B-163"}, ""},
+		{"B-163,P-192", []string{"B-163", "P-192"}, ""},
+		{"P-192,", nil, `empty curve name in -curves "P-192," (want a comma-separated subset of [P-192 B-163])`},
+		{"", nil, "empty curve name"},
+		{"P-192,P-192", nil, `repeated curve name "P-192" in -curves "P-192,P-192"`},
+		{"P-192, B-163 ,P-192", nil, `repeated curve name "P-192"`},
+	}
+	for _, c := range cases {
+		got, err := parseNames("curves", "curve", c.list, valid)
+		if c.err == "" {
+			if err != nil || !slices.Equal(got, c.want) {
+				t.Errorf("parseNames(%q) = %q, %v; want %q", c.list, got, err, c.want)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.err) {
+			t.Errorf("parseNames(%q) error = %v, want one naming %q", c.list, err, c.err)
+		}
+	}
+}
+
+// TestPrintStats pins the -stats lines other tools parse, over a
+// hand-built registry: the census memo line (bench/ reads it with a
+// regexp) and the "sweep stages" line rendered from the registry's
+// stage histograms and byte counters. A registry without sweep
+// histograms (an -arch run) prints no "sweep stages" section.
+func TestPrintStats(t *testing.T) {
+	arch := repro.NewMetrics()
+	arch.Histogram("sim.profile.sign").Observe(20 * time.Millisecond)
+	arch.Histogram("sim.price.sign").Observe(time.Millisecond)
+	arch.Counter("sim.census.hits").Add(1040)
+	arch.Counter("sim.census.misses").Add(20)
+	var b strings.Builder
+	printStats(&b, arch, 0)
+	out := b.String()
+	if !strings.Contains(out, "\n  census memo: 1040 hits / 20 misses (each miss = one profiled (curve, phase) census)\n") {
+		t.Errorf("census memo line missing or reworded:\n%s", out)
+	}
+	if strings.Contains(out, "sweep stages") {
+		t.Errorf("registry without sweep histograms printed a sweep stages section:\n%s", out)
+	}
+
+	sweep := repro.NewMetrics()
+	sweep.Histogram("sweep.expand").Observe(time.Millisecond)
+	sweep.Histogram("sweep.expand").Observe(2 * time.Millisecond)
+	sweep.Histogram("store.fingerprint").Observe(40 * time.Millisecond)
+	sweep.Histogram("store.load").Observe(8 * time.Millisecond)
+	sweep.Counter("store.load.bytes").Add(495000)
+	sweep.Histogram("store.flush").Observe(5 * time.Millisecond)
+	sweep.Counter("store.flush.bytes").Add(1234)
+	sweep.Histogram("sweep.point.cached").Observe(time.Microsecond)
+	b.Reset()
+	printStats(&b, sweep, 90*time.Millisecond)
+	out = "\n" + b.String() // every pinned line starts after a newline
+	for _, want := range []string{
+		"\nsweep stages:\n  total 0.090s  expand 0.003s  fingerprint 0.040s  load 0.008s (495000 B)  flush 0.005s (1234 B)\n",
+		"\n  cached points:    1 (",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("-stats output lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "simulated points") {
+		t.Errorf("no simulated points, but -stats renders a simulated line:\n%s", out)
 	}
 }

@@ -6,16 +6,18 @@ import (
 	"maps"
 	"slices"
 	"strings"
+	"time"
 
 	"repro"
 )
 
 // printStats renders the telemetry collected during a run: the
 // simulator's census-vs-pricing split per workload phase, the sweep's
-// stage timing when one ran, the registry's remaining counters and
-// gauges, and the process-wide result cache. The writer is stderr in
-// -json mode so machine-readable stdout stays pure JSON.
-func printStats(w io.Writer, reg *repro.Metrics, timing *repro.SweepTiming) {
+// stage timing when one ran (total is its wall time, zero for an -arch
+// run), the registry's remaining counters and gauges, and the
+// process-wide result cache. The writer is stderr in -json mode so
+// machine-readable stdout stays pure JSON.
+func printStats(w io.Writer, reg *repro.Metrics, total time.Duration) {
 	s := reg.Snapshot()
 
 	// The per-phase split: census is the functionally-verified crypto
@@ -68,21 +70,22 @@ func printStats(w io.Writer, reg *repro.Metrics, timing *repro.SweepTiming) {
 			s.Counters["dse.adaptive.pruned"], s.Counters["dse.adaptive.frontier_moves"])
 	}
 
-	if timing != nil {
+	// A sweep's stage timings, read back from the registry: the
+	// histograms sum every observation of their stage (an adaptive
+	// exploration expands, loads and flushes once per round).
+	if expand, ok := s.Histograms["sweep.expand"]; ok {
 		fmt.Fprintln(w, "sweep stages:")
 		fmt.Fprintf(w, "  total %.3fs  expand %.3fs  fingerprint %.3fs  load %.3fs (%d B)  flush %.3fs (%d B)\n",
-			timing.TotalSeconds, timing.ExpandSeconds, timing.FingerprintSeconds,
-			timing.LoadSeconds, timing.LoadBytes,
-			timing.FlushSeconds, timing.FlushBytes)
-		if timing.Simulated.Count > 0 {
+			total.Seconds(), expand.SumS, s.Histograms["store.fingerprint"].SumS,
+			s.Histograms["store.load"].SumS, s.Counters["store.load.bytes"],
+			s.Histograms["store.flush"].SumS, s.Counters["store.flush.bytes"])
+		if h := s.Histograms["sweep.point.simulate"]; h.Count > 0 {
 			fmt.Fprintf(w, "  simulated points: %d (p50 %.1fms, p95 %.1fms, max %.1fms)\n",
-				timing.Simulated.Count, timing.Simulated.P50S*1e3,
-				timing.Simulated.P95S*1e3, timing.Simulated.MaxS*1e3)
+				h.Count, h.P50S*1e3, h.P95S*1e3, h.MaxS*1e3)
 		}
-		if timing.Cached.Count > 0 {
+		if h := s.Histograms["sweep.point.cached"]; h.Count > 0 {
 			fmt.Fprintf(w, "  cached points:    %d (p50 %.3fms, p95 %.3fms, max %.3fms)\n",
-				timing.Cached.Count, timing.Cached.P50S*1e3,
-				timing.Cached.P95S*1e3, timing.Cached.MaxS*1e3)
+				h.Count, h.P50S*1e3, h.P95S*1e3, h.MaxS*1e3)
 		}
 	}
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // Adaptive exploration finds the per-security-level energy/latency
@@ -23,8 +24,7 @@ import (
 //     other members, and MonotonePrunable axes stop proposing a value
 //     once it has been observed strictly dominated by a sibling.
 //   - Candidates are deduplicated against every already-simulated
-//     canonical key, and the loop stops when a round moves no frontier
-//     (or the optional evaluation budget is hit).
+//     canonical key, and the loop stops when a round moves no frontier.
 //
 // Every candidate is priced through the same execution core as an
 // exhaustive sweep (sweepRun.price), so the config-hash cache, the disk
@@ -59,16 +59,12 @@ type AdaptiveResult struct {
 	// FrontierMoves counts rounds whose evaluations changed some
 	// per-level frontier's membership.
 	FrontierMoves int
-	// BudgetHit reports the run stopped on SweepOptions.AdaptiveBudget
-	// rather than frontier convergence.
-	BudgetHit bool
 }
 
 // AdaptiveSweep runs the coarse-to-fine Pareto-guided exploration of a
 // spec. The options are the same as Sweep's (workers, cache, disk
-// store, progress, metrics, journal). Progress reports cumulative
-// evaluations with the total growing as rounds are planned; journal
-// point events number each round's own candidates.
+// store, metrics, journal); journal point events number each round's
+// own candidates.
 func AdaptiveSweep(spec SweepSpec, opt SweepOptions) (*AdaptiveResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -90,10 +86,14 @@ func AdaptiveSweep(spec SweepSpec, opt SweepOptions) (*AdaptiveResult, error) {
 	st.seedCoarse()
 	// Candidate generation is adaptive's expansion stage: the grid
 	// census, the coarse seed and every neighbor round.
-	run.timing.ExpandSeconds = time.Since(run.start).Seconds()
+	var expand *telemetry.Histogram
+	if opt.Metrics != nil {
+		expand = opt.Metrics.Histogram("sweep.expand")
+		expand.Observe(time.Since(run.start))
+	}
 
 	opt.Journal.Emit("adaptive_start", map[string]any{
-		"grid": grid, "coarse": len(st.cands), "budget": opt.AdaptiveBudget,
+		"grid": grid, "coarse": len(st.cands),
 	})
 
 	var (
@@ -103,21 +103,11 @@ func AdaptiveSweep(spec SweepSpec, opt SweepOptions) (*AdaptiveResult, error) {
 		prevFinger string
 		rounds     int
 		moves      int
-		budgetHit  bool
 		err        error
 	)
 	for len(st.cands) > 0 {
 		cands := st.cands
 		st.cands = nil
-		if b := opt.AdaptiveBudget; b > 0 && run.configs+len(cands) >= b {
-			// Evaluate the deterministic generation-order prefix up to
-			// exactly the budget, then stop refining.
-			cands = cands[:b-run.configs]
-			budgetHit = true
-			if len(cands) == 0 {
-				break
-			}
-		}
 
 		roundStart := time.Now()
 		var batch []Point
@@ -139,11 +129,9 @@ func AdaptiveSweep(spec SweepSpec, opt SweepOptions) (*AdaptiveResult, error) {
 		finger := frontierFingerprint(newFront)
 		moved := finger != prevFinger
 		frontiers, prevFinger = newFront, finger
+		prunedBefore := st.pruned
 		if moved {
 			moves++
-		}
-		prunedBefore := st.pruned
-		if moved && !budgetHit {
 			genStart := time.Now()
 			st.observePrunes(points, byKey)
 			for _, lf := range frontiers {
@@ -151,7 +139,9 @@ func AdaptiveSweep(spec SweepSpec, opt SweepOptions) (*AdaptiveResult, error) {
 					st.neighborsOf(p.Config)
 				}
 			}
-			run.timing.ExpandSeconds += time.Since(genStart).Seconds()
+			if expand != nil {
+				expand.Observe(time.Since(genStart))
+			}
 		}
 		if m := opt.Metrics; m != nil {
 			m.Counter("dse.adaptive.rounds").Inc()
@@ -161,16 +151,12 @@ func AdaptiveSweep(spec SweepSpec, opt SweepOptions) (*AdaptiveResult, error) {
 				m.Counter("dse.adaptive.frontier_moves").Inc()
 			}
 		}
-		f := map[string]any{
+		opt.Journal.Emit("adaptive_round", map[string]any{
 			"round": round, "candidates": len(cands), "evaluated": run.configs,
 			"frontierPoints": frontierPoints(frontiers), "moved": moved,
 			"pruned": st.pruned, "seconds": time.Since(roundStart).Seconds(),
-		}
-		if budgetHit {
-			f["budgetHit"] = true
-		}
-		opt.Journal.Emit("adaptive_round", f)
-		if !moved || budgetHit {
+		})
+		if !moved {
 			break
 		}
 	}
@@ -181,7 +167,6 @@ func AdaptiveSweep(spec SweepSpec, opt SweepOptions) (*AdaptiveResult, error) {
 	end := map[string]any{
 		"rounds": rounds, "evaluated": run.configs, "grid": grid,
 		"pruned": st.pruned, "frontierPoints": frontierPoints(frontiers),
-		"budgetHit": budgetHit,
 	}
 	if err != nil {
 		end["error"] = err.Error()
@@ -198,7 +183,6 @@ func AdaptiveSweep(spec SweepSpec, opt SweepOptions) (*AdaptiveResult, error) {
 		GridConfigs:   grid,
 		Pruned:        st.pruned,
 		FrontierMoves: moves,
-		BudgetHit:     budgetHit,
 	}, nil
 }
 

@@ -57,8 +57,8 @@ func (c *Cache) Len() int {
 //
 // Error entries are remembered (GetOrRun re-serves a failed config's
 // error without re-running it) but never counted as hits: hits count
-// only successful results served from cache, matching lookup, the
-// journal's per-point cached flag, and -progress tallies. The one miss
+// only successful results served from cache, matching lookup and the
+// journal's per-point cached flag. The one miss
 // a failing config costs is the run that discovered the error.
 func (c *Cache) Stats() (hits, misses uint64) {
 	c.mu.Lock()

@@ -53,21 +53,17 @@ type PhaseJSON struct {
 // fields are omitted when zero/false, keeping in-memory sweep output
 // free of store accounting.
 type SweepJSON struct {
-	ClockHz       float64 `json:"clockHz"`
-	RawPoints     int     `json:"rawPoints"`
-	Configs       int     `json:"configs"`
-	Workers       int     `json:"workers"`
-	CacheHits     uint64  `json:"cacheHits"`
-	CacheMisses   uint64  `json:"cacheMisses"`
-	DiskLoaded    int     `json:"diskLoaded,omitempty"`
-	DiskSaved     int     `json:"diskSaved,omitempty"`
-	DiskUnchanged bool    `json:"diskUnchanged,omitempty"`
-	// Timing is present only for instrumented sweeps (SweepOptions.Metrics
-	// set); uninstrumented output stays byte-identical to the
-	// pre-telemetry wire form.
-	Timing *SweepTiming `json:"timing,omitempty"`
-	Points []PointJSON  `json:"points"`
-	Pareto []PointJSON  `json:"pareto"`
+	ClockHz       float64     `json:"clockHz"`
+	RawPoints     int         `json:"rawPoints"`
+	Configs       int         `json:"configs"`
+	Workers       int         `json:"workers"`
+	CacheHits     uint64      `json:"cacheHits"`
+	CacheMisses   uint64      `json:"cacheMisses"`
+	DiskLoaded    int         `json:"diskLoaded,omitempty"`
+	DiskSaved     int         `json:"diskSaved,omitempty"`
+	DiskUnchanged bool        `json:"diskUnchanged,omitempty"`
+	Points        []PointJSON `json:"points"`
+	Pareto        []PointJSON `json:"pareto"`
 	// ParetoPerLevel holds the frontier within each security level —
 	// the comparison at fixed key strength.
 	ParetoPerLevel []LevelFrontierJSON `json:"paretoPerLevel"`
@@ -135,7 +131,6 @@ func (r *SweepResult) toWire() SweepJSON {
 		DiskLoaded:    r.DiskLoaded,
 		DiskSaved:     r.DiskSaved,
 		DiskUnchanged: r.DiskUnchanged,
-		Timing:        r.Timing,
 		Points:        make([]PointJSON, 0, len(r.Points)),
 		Pareto:        make([]PointJSON, 0),
 	}
@@ -156,7 +151,6 @@ type AdaptiveJSON struct {
 	GridConfigs   int       `json:"gridConfigs"`
 	Pruned        int       `json:"pruned"`
 	FrontierMoves int       `json:"frontierMoves"`
-	BudgetHit     bool      `json:"budgetHit,omitempty"`
 	Sweep         SweepJSON `json:"sweep"`
 }
 
@@ -168,7 +162,6 @@ func (ar *AdaptiveResult) MarshalJSON() ([]byte, error) {
 		GridConfigs:   ar.GridConfigs,
 		Pruned:        ar.Pruned,
 		FrontierMoves: ar.FrontierMoves,
-		BudgetHit:     ar.BudgetHit,
 		Sweep:         ar.Result.toWire(),
 	}
 	return json.MarshalIndent(out, "", "  ")

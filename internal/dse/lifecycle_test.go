@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -32,16 +31,15 @@ func lifecycleSpec() SweepSpec {
 
 // TestSweepLifecycle pins everything a sweep reports about itself, for
 // a cold and then a warm Sweep and AdaptiveSweep over a persistent store
-// with Metrics, Journal and Progress all attached:
+// with Metrics and Journal attached:
 //   - the journal event stream, with the timing fields (t, seconds)
 //     dropped and the store directory normalized;
-//   - the full Progress (done, total, cached) stream;
-//   - every non-Timing SweepResult field (points by key here; their
-//     values must equal an uninstrumented run's);
+//   - every SweepResult field (points by key here; their values must
+//     equal an uninstrumented run's);
 //   - the registry's final counters, gauges and histogram counts.
 //
-// Timing must be present and split every evaluated point into exactly
-// one of its simulated/cached histograms. Regenerate with
+// The registry must split every evaluated point into exactly one of
+// its simulate/cached histograms. Regenerate with
 //
 //	go test ./internal/dse/ -run TestSweepLifecycle -update
 func TestSweepLifecycle(t *testing.T) {
@@ -64,9 +62,6 @@ func TestSweepLifecycle(t *testing.T) {
 			return ar.Result, ar
 		}
 		plain, _ := run(SweepOptions{Workers: 2, Cache: NewCache()})
-		if plain.Timing != nil {
-			t.Errorf("%s: uninstrumented run has Timing", mode)
-		}
 		plainPoints, err := PointsJSON(plain.Points)
 		if err != nil {
 			t.Fatal(err)
@@ -75,17 +70,10 @@ func TestSweepLifecycle(t *testing.T) {
 		dir := t.TempDir()
 		for _, phase := range []string{"cold", "warm"} {
 			var journal bytes.Buffer
-			var mu sync.Mutex
-			var progress []string
 			reg := telemetry.New()
 			res, ar := run(SweepOptions{
 				Workers: 2, Cache: NewCache(), CacheDir: dir, Metrics: reg,
 				Journal: telemetry.NewJournal(&journal),
-				Progress: func(done, total int, cached bool) {
-					mu.Lock()
-					progress = append(progress, fmt.Sprintf("%d/%d cached=%t", done, total, cached))
-					mu.Unlock()
-				},
 			})
 			fmt.Fprintf(&b, "== %s %s\n", mode, phase)
 
@@ -100,10 +88,6 @@ func TestSweepLifecycle(t *testing.T) {
 				out, _ := json.Marshal(ev)
 				fmt.Fprintf(&b, "  %s\n", strings.ReplaceAll(string(out), dir, "$DIR"))
 			}
-			b.WriteString("progress:\n")
-			for _, p := range progress {
-				fmt.Fprintf(&b, "  %s\n", p)
-			}
 
 			if !reflect.DeepEqual(res.Spec, spec) {
 				t.Errorf("%s %s: result spec %+v, want %+v", mode, phase, res.Spec, spec)
@@ -114,8 +98,8 @@ func TestSweepLifecycle(t *testing.T) {
 			evaluated := res.Configs
 			if ar != nil {
 				evaluated = ar.Evaluated
-				fmt.Fprintf(&b, "adaptive: rounds=%d evaluated=%d grid=%d pruned=%d moves=%d budgetHit=%t\n",
-					ar.Rounds, ar.Evaluated, ar.GridConfigs, ar.Pruned, ar.FrontierMoves, ar.BudgetHit)
+				fmt.Fprintf(&b, "adaptive: rounds=%d evaluated=%d grid=%d pruned=%d moves=%d\n",
+					ar.Rounds, ar.Evaluated, ar.GridConfigs, ar.Pruned, ar.FrontierMoves)
 			}
 			b.WriteString("points:\n")
 			for _, p := range res.Points {
@@ -125,14 +109,12 @@ func TestSweepLifecycle(t *testing.T) {
 				t.Errorf("%s %s: points differ from the uninstrumented run (err %v)", mode, phase, err)
 			}
 
-			if tm := res.Timing; tm == nil {
-				t.Errorf("%s %s: instrumented run has no Timing", mode, phase)
-			} else if n := tm.Simulated.Count + tm.Cached.Count; n != int64(evaluated) {
-				t.Errorf("%s %s: Timing splits %d simulated + %d cached points, want %d",
-					mode, phase, tm.Simulated.Count, tm.Cached.Count, evaluated)
-			}
-
 			s := reg.Snapshot()
+			simulated, cached := s.Histograms["sweep.point.simulate"].Count, s.Histograms["sweep.point.cached"].Count
+			if simulated+cached != int64(evaluated) {
+				t.Errorf("%s %s: registry splits %d simulated + %d cached points, want %d",
+					mode, phase, simulated, cached, evaluated)
+			}
 			b.WriteString("metrics:\n")
 			for _, k := range slices.Sorted(maps.Keys(s.Counters)) {
 				fmt.Fprintf(&b, "  counter %s=%d\n", k, s.Counters[k])

@@ -2,9 +2,9 @@ package dse
 
 import (
 	"fmt"
+	"os"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/telemetry"
@@ -23,20 +23,11 @@ type SweepOptions struct {
 	// afterwards, so repeating a sweep is near-free even across process
 	// restarts.
 	CacheDir string
-	// Progress, when non-nil, streams per-point completion for long
-	// sweeps: it is invoked once per configuration, in deterministic
-	// specification order regardless of the worker count, with the
-	// number of points completed so far, the total, and whether that
-	// point was served from cache. Calls are serialized and ordered, but
-	// run outside the sweep's internal bookkeeping lock: a slow callback
-	// (a renderer, a journal write) delays later callbacks, not the
-	// worker pool.
-	Progress func(done, total int, cached bool)
-	// Metrics, when non-nil, records sweep telemetry into the registry
-	// (per-point simulate-vs-cached durations, worker-pool occupancy,
-	// expansion and store load/flush timing) and fills SweepResult.Timing.
-	// Telemetry is carried out-of-band: results, keys, hashes and store
-	// bytes are identical with and without it.
+	// Metrics, when non-nil, records sweep telemetry into the registry:
+	// per-point simulate-vs-cached durations, expansion, and store
+	// fingerprint/load/flush timing. Telemetry is carried out-of-band:
+	// results, keys, hashes and store bytes are identical with and
+	// without it.
 	Metrics *telemetry.Registry
 	// Journal, when non-nil, receives one JSONL lifecycle event per
 	// sweep stage: sweep_start, store_load, one point event per
@@ -45,11 +36,6 @@ type SweepOptions struct {
 	// the partial flush of a failed sweep), and sweep_end. Best-effort:
 	// journal write errors never fail the sweep (check Journal.Err).
 	Journal *telemetry.Journal
-	// AdaptiveBudget, when positive, caps how many unique
-	// configurations an AdaptiveSweep may evaluate; the run stops
-	// (reporting BudgetHit) once the cap is reached. Zero means
-	// unlimited — the exploration stops when a round moves no frontier.
-	AdaptiveBudget int
 }
 
 // SweepResult is the outcome of exploring one SweepSpec.
@@ -76,12 +62,6 @@ type SweepResult struct {
 	// already held exactly the cache content (nothing was written, so
 	// DiskSaved is 0).
 	DiskUnchanged bool
-
-	// Timing is the wall-clock breakdown of this sweep, present only
-	// when SweepOptions.Metrics was set. It is carried alongside the
-	// results, never inside them: an uninstrumented sweep's JSON is
-	// byte-identical to the pre-telemetry wire form.
-	Timing *SweepTiming
 }
 
 // Sweep explores the spec's cross-product on a worker pool. Each unique
@@ -95,7 +75,6 @@ func Sweep(spec SweepSpec, opt SweepOptions) (*SweepResult, error) {
 	run := newSweepRun(opt)
 	cfgs := spec.Expand()
 	expand := time.Since(run.start)
-	run.timing.ExpandSeconds = expand.Seconds()
 	// Expansion economics: raw − pruned − unique is what canonical
 	// deduplication collapsed.
 	raw, pruned, unique := spec.RawPoints(), spec.PrunedPoints(), len(cfgs)
@@ -133,9 +112,8 @@ func Sweep(spec SweepSpec, opt SweepOptions) (*SweepResult, error) {
 // sweepRun is one observed sweep execution: Sweep prices its whole
 // expansion through one, AdaptiveSweep prices every round's candidates
 // through one. It owns what accumulates across those batches — the
-// cache, the hit/miss, disk and progress counters, the store
-// bookkeeping, and the per-point histograms and stage timings — so the
-// SweepResult and its SweepTiming are built in one place (result).
+// cache, the hit/miss and disk counters and the store bookkeeping — so
+// the SweepResult is built in one place (result).
 type sweepRun struct {
 	opt   SweepOptions
 	cache *Cache
@@ -153,11 +131,6 @@ type sweepRun struct {
 	// LoadFile counts only fresh inserts, so from the second batch on
 	// the cache.Len() == loaded check alone cannot prove that.
 	storeSynced bool
-
-	// timing accumulates the stage timings; result fills in the total
-	// and the per-point histogram snapshots.
-	timing              SweepTiming
-	simHist, cachedHist telemetry.Histogram
 }
 
 func newSweepRun(opt SweepOptions) *sweepRun {
@@ -181,22 +154,18 @@ func (r *sweepRun) poolWidth(n int) int {
 }
 
 // price evaluates one batch of expanded configurations on the worker
-// pool: store load, cached-or-simulated pricing with ordered
-// progress/journal delivery, and store flush. It returns the batch's
+// pool: store load, cached-or-simulated pricing, the batch's journal
+// point events in input order, and store flush. It returns the batch's
 // points in input order, or the first failure. Journal point events
-// number the batch's own points; Progress counts across every batch of
-// the run, its total growing as batches are added.
+// number the batch's own points.
 func (r *sweepRun) price(cfgs []Config) ([]Point, error) {
 	opt := r.opt
 	workers := r.poolWidth(len(cfgs))
 	r.workers = max(r.workers, workers)
-	offset := r.configs
 	r.configs += len(cfgs)
-	var busy *telemetry.Gauge
 	if m := opt.Metrics; m != nil {
 		m.Gauge("sweep.configs").Set(int64(r.configs))
 		m.Gauge("sweep.workers").Set(int64(workers))
-		busy = m.Gauge("sweep.workers.busy")
 	}
 	loaded, err := r.load()
 	if err != nil {
@@ -206,70 +175,7 @@ func (r *sweepRun) price(cfgs []Config) ([]Point, error) {
 	points := make([]Point, len(cfgs))
 	errs := make([]error, len(cfgs))
 	durNS := make([]int64, len(cfgs))
-	var hits, misses atomic.Uint64
-
-	// Progress/journal bookkeeping: completions arrive in worker order,
-	// but delivery fires in specification order — each finished point is
-	// parked until every earlier point has finished too, so the (done,
-	// total, cached) stream and the journal's point events are
-	// deterministic for any worker count. The lock guards only the
-	// bookkeeping; the callbacks themselves run outside it (one
-	// deliverer at a time drains the ready prefix), so a slow Progress
-	// callback or journal write delays later deliveries, never the
-	// worker pool.
-	wantDelivery := opt.Progress != nil || opt.Journal != nil
-	var progressMu sync.Mutex
-	finished := make([]bool, len(cfgs))
-	wasHit := make([]bool, len(cfgs))
-	nextToReport := 0
-	delivering := false
-	deliver := func(j int) {
-		if opt.Journal != nil {
-			f := map[string]any{
-				"i": j + 1, "of": len(cfgs), "key": cfgs[j].Key(),
-				"cached": wasHit[j], "seconds": float64(durNS[j]) / 1e9,
-			}
-			if errs[j] != nil {
-				f["error"] = errs[j].Error()
-			}
-			opt.Journal.Emit("point", f)
-		}
-		if opt.Progress != nil {
-			opt.Progress(offset+j+1, offset+len(cfgs), wasHit[j])
-		}
-	}
-	reportProgress := func(i int, hit bool) {
-		if !wantDelivery {
-			return
-		}
-		progressMu.Lock()
-		finished[i] = true
-		wasHit[i] = hit
-		if delivering {
-			// Another worker is mid-delivery outside the lock; it will
-			// pick this point up on its next drain pass.
-			progressMu.Unlock()
-			return
-		}
-		delivering = true
-		for {
-			start := nextToReport
-			for nextToReport < len(cfgs) && finished[nextToReport] {
-				nextToReport++
-			}
-			ready := nextToReport
-			if ready == start {
-				delivering = false
-				progressMu.Unlock()
-				return
-			}
-			progressMu.Unlock()
-			for j := start; j < ready; j++ {
-				deliver(j)
-			}
-			progressMu.Lock()
-		}
-	}
+	cached := make([]bool, len(cfgs))
 
 	jobs := make(chan int)
 	var wg sync.WaitGroup
@@ -279,31 +185,22 @@ func (r *sweepRun) price(cfgs []Config) ([]Point, error) {
 			defer wg.Done()
 			for i := range jobs {
 				cfg := cfgs[i]
-				if opt.Metrics != nil {
-					busy.Add(1)
-				}
 				pointStart := time.Now()
 				res, hit, err := r.cache.GetOrRun(cfg)
 				d := time.Since(pointStart)
-				durNS[i] = int64(d)
-				hist, name := &r.simHist, "sweep.point.simulate"
-				if hit {
-					hist, name = &r.cachedHist, "sweep.point.cached"
-					hits.Add(1)
-				} else {
-					misses.Add(1)
-				}
-				hist.Observe(d)
-				if opt.Metrics != nil {
-					opt.Metrics.Histogram(name).Observe(d)
-					busy.Add(-1)
+				durNS[i], cached[i] = int64(d), hit
+				if m := opt.Metrics; m != nil {
+					name := "sweep.point.simulate"
+					if hit {
+						name = "sweep.point.cached"
+					}
+					m.Histogram(name).Observe(d)
 				}
 				if err != nil {
 					errs[i] = fmt.Errorf("dse: %s: %w", cfg.Key(), err)
 				} else {
 					points[i] = newPoint(cfg, res)
 				}
-				reportProgress(i, hit)
 			}
 		}()
 	}
@@ -312,21 +209,39 @@ func (r *sweepRun) price(cfgs []Config) ([]Point, error) {
 	}
 	close(jobs)
 	wg.Wait()
-	r.hits += hits.Load()
-	r.misses += misses.Load()
-	if m := opt.Metrics; m != nil {
-		m.Counter("sweep.points.simulated").Add(int64(misses.Load()))
-		m.Counter("sweep.points.cached").Add(int64(hits.Load()))
-	}
 
+	// The batch's outcomes are read back in input order: the hit/miss
+	// tally, the first failure, and the journal's point events, which
+	// are therefore deterministic for any worker count.
+	var hits, misses uint64
 	var sweepErr error
-	for _, err := range errs {
-		if err != nil {
-			sweepErr = err
-			break
+	for i, cfg := range cfgs {
+		if cached[i] {
+			hits++
+		} else {
+			misses++
+		}
+		if sweepErr == nil {
+			sweepErr = errs[i]
+		}
+		if opt.Journal != nil {
+			f := map[string]any{
+				"i": i + 1, "of": len(cfgs), "key": cfg.Key(),
+				"cached": cached[i], "seconds": float64(durNS[i]) / 1e9,
+			}
+			if errs[i] != nil {
+				f["error"] = errs[i].Error()
+			}
+			opt.Journal.Emit("point", f)
 		}
 	}
-	if flushErr := r.flush(sweepErr != nil, misses.Load() == 0, loaded); flushErr != nil {
+	r.hits += hits
+	r.misses += misses
+	if m := opt.Metrics; m != nil {
+		m.Counter("sweep.points.simulated").Add(int64(misses))
+		m.Counter("sweep.points.cached").Add(int64(hits))
+	}
+	if flushErr := r.flush(sweepErr != nil, misses == 0, loaded); flushErr != nil {
 		if sweepErr == nil {
 			return nil, flushErr
 		}
@@ -352,7 +267,6 @@ func (r *sweepRun) load() (int, error) {
 	start := time.Now()
 	modelFingerprint()
 	d := time.Since(start)
-	r.timing.FingerprintSeconds += d.Seconds()
 	if m != nil {
 		m.Histogram("store.fingerprint").Observe(d)
 	}
@@ -369,8 +283,6 @@ func (r *sweepRun) load() (int, error) {
 	// phantom load.
 	if size := fileSize(path); n > 0 || size > 0 {
 		d := time.Since(start)
-		r.timing.LoadSeconds += d.Seconds()
-		r.timing.LoadBytes += size
 		if m != nil {
 			m.Histogram("store.load").Observe(d)
 			m.Counter("store.load.entries").Add(int64(n))
@@ -409,8 +321,6 @@ func (r *sweepRun) flush(failed, allHits bool, loaded int) error {
 	n, err := r.cache.SaveFile(path)
 	d := time.Since(start)
 	size := fileSize(path)
-	r.timing.FlushSeconds += d.Seconds()
-	r.timing.FlushBytes += size
 	if m := r.opt.Metrics; m != nil {
 		m.Histogram("store.flush").Observe(d)
 		m.Counter("store.flush.entries").Add(int64(n))
@@ -439,10 +349,9 @@ func (r *sweepRun) flush(failed, allHits bool, loaded int) error {
 	return nil
 }
 
-// result builds the run's SweepResult over the points it priced, with
-// a SweepTiming when Metrics is set.
+// result builds the run's SweepResult over the points it priced.
 func (r *sweepRun) result(spec SweepSpec, points []Point) *SweepResult {
-	res := &SweepResult{
+	return &SweepResult{
 		Spec:          spec,
 		Points:        points,
 		RawPoints:     spec.RawPoints(),
@@ -454,11 +363,15 @@ func (r *sweepRun) result(spec SweepSpec, points []Point) *SweepResult {
 		DiskSaved:     r.diskSaved,
 		DiskUnchanged: r.flushSkips > 0 && r.flushes == 0,
 	}
-	if r.opt.Metrics != nil {
-		t := r.timing
-		t.TotalSeconds = time.Since(r.start).Seconds()
-		t.Simulated, t.Cached = r.simHist.Snapshot(), r.cachedHist.Snapshot()
-		res.Timing = &t
+}
+
+// fileSize returns a file's byte size for telemetry, or 0 if it cannot
+// be measured — store accounting is best-effort observability, never a
+// sweep failure.
+func fileSize(path string) int64 {
+	fi, err := os.Stat(path)
+	if err != nil {
+		return 0
 	}
-	return res
+	return fi.Size()
 }

@@ -5,9 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/telemetry"
 )
@@ -38,10 +36,11 @@ func eventNames(events []map[string]any) []string {
 	return out
 }
 
-// TestSweepTimingAndMetrics pins the tentpole contract: an instrumented
-// sweep fills SweepResult.Timing and the registry, and the timing block
-// appears in the JSON wire form only when a registry was attached — an
-// uninstrumented sweep's JSON stays byte-free of it.
+// TestSweepTimingAndMetrics pins what an instrumented sweep records in
+// the registry, cold and then warm from the persistent store: every
+// point lands in exactly one of the simulate/cached histograms, each
+// store stage is timed and sized, and the results are those of an
+// uninstrumented sweep.
 func TestSweepTimingAndMetrics(t *testing.T) {
 	spec := diskSpec()
 	dir := t.TempDir()
@@ -50,23 +49,6 @@ func TestSweepTimingAndMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Timing == nil {
-		t.Fatal("instrumented sweep returned nil Timing")
-	}
-	tm := res.Timing
-	if tm.TotalSeconds <= 0 || tm.ExpandSeconds < 0 {
-		t.Errorf("implausible timing: %+v", tm)
-	}
-	if tm.Simulated.Count != int64(res.Configs) || tm.Cached.Count != 0 {
-		t.Errorf("cold sweep split = %d simulated / %d cached, want %d / 0",
-			tm.Simulated.Count, tm.Cached.Count, res.Configs)
-	}
-	if tm.Simulated.SumS <= 0 || tm.Simulated.MaxS < tm.Simulated.P50S {
-		t.Errorf("degenerate simulate histogram: %+v", tm.Simulated)
-	}
-	if tm.FlushBytes <= 0 {
-		t.Errorf("flush wrote a store but FlushBytes = %d", tm.FlushBytes)
-	}
 
 	s := reg.Snapshot()
 	if s.Counters["sweep.points.simulated"] != int64(res.Configs) ||
@@ -74,48 +56,57 @@ func TestSweepTimingAndMetrics(t *testing.T) {
 		s.Counters["sweep.runs"] != 1 {
 		t.Errorf("registry counters off: %+v", s.Counters)
 	}
-	if s.Histograms["sweep.point.simulate"].Count != int64(res.Configs) {
-		t.Errorf("sweep.point.simulate count = %d, want %d",
-			s.Histograms["sweep.point.simulate"].Count, res.Configs)
+	sim := s.Histograms["sweep.point.simulate"]
+	if sim.Count != int64(res.Configs) || s.Histograms["sweep.point.cached"].Count != 0 {
+		t.Errorf("cold sweep split = %d simulated / %d cached, want %d / 0",
+			sim.Count, s.Histograms["sweep.point.cached"].Count, res.Configs)
+	}
+	if sim.SumS <= 0 || sim.MaxS < sim.P50S {
+		t.Errorf("degenerate simulate histogram: %+v", sim)
+	}
+	if s.Histograms["sweep.expand"].Count != 1 || s.Histograms["store.fingerprint"].Count != 1 {
+		t.Errorf("expand/fingerprint observed %d/%d times, want 1/1",
+			s.Histograms["sweep.expand"].Count, s.Histograms["store.fingerprint"].Count)
 	}
 	if s.Histograms["store.flush"].Count != 1 || s.Counters["store.flush.entries"] != int64(res.Configs) {
 		t.Errorf("store flush metrics off: %+v / %+v", s.Histograms["store.flush"], s.Counters)
 	}
-	if s.Gauges["sweep.workers.busy"] != 0 {
-		t.Errorf("workers still busy after sweep: %d", s.Gauges["sweep.workers.busy"])
+	if s.Counters["store.flush.bytes"] <= 0 {
+		t.Errorf("flush wrote a store but store.flush.bytes = %d", s.Counters["store.flush.bytes"])
 	}
 
 	// A warm instrumented re-sweep is all cache hits, loaded from disk.
-	warm, err := Sweep(spec, SweepOptions{Cache: NewCache(), CacheDir: dir, Metrics: reg})
+	warmReg := telemetry.New()
+	warm, err := Sweep(spec, SweepOptions{Cache: NewCache(), CacheDir: dir, Metrics: warmReg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Timing.Cached.Count != int64(warm.Configs) || warm.Timing.Simulated.Count != 0 {
+	ws := warmReg.Snapshot()
+	if ws.Histograms["sweep.point.cached"].Count != int64(warm.Configs) || ws.Histograms["sweep.point.simulate"].Count != 0 {
 		t.Errorf("warm sweep split = %d simulated / %d cached, want 0 / %d",
-			warm.Timing.Simulated.Count, warm.Timing.Cached.Count, warm.Configs)
+			ws.Histograms["sweep.point.simulate"].Count, ws.Histograms["sweep.point.cached"].Count, warm.Configs)
 	}
-	if warm.Timing.LoadBytes <= 0 {
-		t.Errorf("warm sweep loaded a store but LoadBytes = %d", warm.Timing.LoadBytes)
+	if ws.Histograms["store.load"].Count != 1 || ws.Counters["store.load.bytes"] <= 0 {
+		t.Errorf("warm sweep loaded a store but store.load = %+v, store.load.bytes = %d",
+			ws.Histograms["store.load"], ws.Counters["store.load.bytes"])
 	}
 
-	// Wire-form gate: "timing" appears iff the sweep was instrumented.
-	instr, err := res.MarshalJSON()
+	// Instrumentation is out-of-band: the points match an
+	// uninstrumented sweep's byte for byte.
+	instr, err := PointsJSON(res.Points)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !bytes.Contains(instr, []byte(`"timing"`)) {
-		t.Error("instrumented sweep JSON lacks the timing block")
 	}
 	plain, err := Sweep(spec, SweepOptions{Cache: NewCache()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plainJSON, err := plain.MarshalJSON()
+	plainJSON, err := PointsJSON(plain.Points)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(plainJSON, []byte(`"timing"`)) {
-		t.Error("uninstrumented sweep JSON grew a timing block")
+	if !bytes.Equal(instr, plainJSON) {
+		t.Error("instrumented sweep points differ from the uninstrumented sweep's")
 	}
 }
 
@@ -206,23 +197,19 @@ func TestSweepJournalErrorPath(t *testing.T) {
 
 	dir := t.TempDir()
 	var buf bytes.Buffer
-	var progressCalls int
 	_, err := Sweep(spec, SweepOptions{Workers: 1, Cache: cache, CacheDir: dir,
-		Journal:  telemetry.NewJournal(&buf),
-		Progress: func(done, total int, cached bool) { progressCalls++ }})
+		Journal: telemetry.NewJournal(&buf)})
 	if !errors.Is(err, boom) {
 		t.Fatalf("sweep error = %v, want the injected failure", err)
 	}
-	// The failing point still produced a completion callback.
-	if progressCalls != len(cfgs) {
-		t.Errorf("progress fired %d times, want %d (failure included)", progressCalls, len(cfgs))
-	}
 
 	events := journalLines(t, &buf)
-	var pointErrs, flushes, ends int
+	var points, pointErrs, flushes, ends int
 	for _, e := range events {
 		switch e["event"] {
 		case "point":
+			// The failing point is journaled like every other one.
+			points++
 			if e["error"] != nil {
 				pointErrs++
 				if !strings.Contains(e["error"].(string), "injected") {
@@ -244,35 +231,8 @@ func TestSweepJournalErrorPath(t *testing.T) {
 			}
 		}
 	}
-	if pointErrs != 1 || flushes != 1 || ends != 1 {
-		t.Errorf("error-path events: %d point errors, %d flushes, %d ends (want 1 each)",
-			pointErrs, flushes, ends)
-	}
-}
-
-// TestSweepProgressSlowCallback pins the satellite fix: Progress runs
-// outside the internal bookkeeping lock, and a deliberately slow
-// callback still sees every point in specification order.
-func TestSweepProgressSlowCallback(t *testing.T) {
-	spec := diskSpec()
-	total := len(spec.Expand())
-	var mu sync.Mutex
-	var dones []int
-	if _, err := Sweep(spec, SweepOptions{Workers: 4, Cache: NewCache(),
-		Progress: func(done, totalArg int, cached bool) {
-			time.Sleep(time.Millisecond)
-			mu.Lock()
-			dones = append(dones, done)
-			mu.Unlock()
-		}}); err != nil {
-		t.Fatal(err)
-	}
-	if len(dones) != total {
-		t.Fatalf("%d progress calls, want %d", len(dones), total)
-	}
-	for i, d := range dones {
-		if d != i+1 {
-			t.Fatalf("slow callback broke ordering at %d: %v", i, dones)
-		}
+	if points != len(cfgs) || pointErrs != 1 || flushes != 1 || ends != 1 {
+		t.Errorf("error-path events: %d points, %d point errors, %d flushes, %d ends (want %d, then 1 each)",
+			points, pointErrs, flushes, ends, len(cfgs))
 	}
 }

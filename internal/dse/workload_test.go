@@ -132,59 +132,3 @@ func TestWorkloadSweepPoints(t *testing.T) {
 		t.Errorf("handshake wire form missing workload/phases: %+v", hsJSON)
 	}
 }
-
-// TestSweepProgress pins the progress-streaming contract: one callback
-// per configuration, in deterministic specification order, with done
-// counting 1..total for any worker count.
-func TestSweepProgress(t *testing.T) {
-	spec := smallSpec()
-	total := len(spec.Expand())
-	for _, workers := range []int{1, 4} {
-		var dones []int
-		var cachedCount int
-		cache := NewCache()
-		_, err := Sweep(spec, SweepOptions{
-			Workers: workers,
-			Cache:   cache,
-			Progress: func(done, totalArg int, cached bool) {
-				if totalArg != total {
-					t.Errorf("workers=%d: total = %d, want %d", workers, totalArg, total)
-				}
-				if cached {
-					cachedCount++
-				}
-				dones = append(dones, done)
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(dones) != total {
-			t.Fatalf("workers=%d: %d progress calls, want %d", workers, len(dones), total)
-		}
-		for i, d := range dones {
-			if d != i+1 {
-				t.Fatalf("workers=%d: progress out of order at %d: %v", workers, i, dones)
-			}
-		}
-		if cachedCount != 0 {
-			t.Errorf("workers=%d: cold sweep reported %d cached points", workers, cachedCount)
-		}
-
-		// A warm re-sweep streams every point as cached.
-		cachedCount = 0
-		dones = nil
-		if _, err := Sweep(spec, SweepOptions{Workers: workers, Cache: cache,
-			Progress: func(done, totalArg int, cached bool) {
-				if cached {
-					cachedCount++
-				}
-				dones = append(dones, done)
-			}}); err != nil {
-			t.Fatal(err)
-		}
-		if cachedCount != total || len(dones) != total {
-			t.Errorf("workers=%d: warm sweep cached %d of %d progress calls", workers, cachedCount, len(dones))
-		}
-	}
-}

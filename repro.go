@@ -36,9 +36,8 @@
 //     frontier := repro.Pareto(res.Points)
 //
 //     Sweep results are deterministic: the same spec produces points in
-//     the same order regardless of worker count, repeated or overlapping
-//     sweeps are served from the result cache, and SweepOptions.Progress
-//     streams per-point completion in specification order.
+//     the same order regardless of worker count, and repeated or
+//     overlapping sweeps are served from the result cache.
 //
 //   - Experiments: Experiment and Experiments regenerate the paper's
 //     tables and figures as formatted text, including the live-sweep
@@ -312,11 +311,10 @@ func Sweep(spec SweepSpec, opt SweepOptions) (*SweepResult, error) {
 // AdaptiveSweep explores the spec coarse-to-fine instead of
 // exhaustively: it seeds a coarse sub-grid, then each round refines
 // only around the current per-security-level Pareto frontiers until no
-// frontier moves (or SweepOptions.AdaptiveBudget caps evaluations). The
-// returned frontiers are key-identical to the exhaustive grid's while a
-// fraction of its configurations is priced; every evaluated point goes
-// through the same execution core (result cache, disk store, telemetry)
-// as Sweep.
+// frontier moves. The returned frontiers are key-identical to the
+// exhaustive grid's while a fraction of its configurations is priced;
+// every evaluated point goes through the same execution core (result
+// cache, disk store, telemetry) as Sweep.
 func AdaptiveSweep(spec SweepSpec, opt SweepOptions) (*AdaptiveResult, error) {
 	return dse.AdaptiveSweep(spec, opt)
 }
@@ -366,9 +364,6 @@ type (
 	// RunJournal appends one JSON object per lifecycle event (sweep
 	// start/point/flush/end) to a writer — an append-only run log.
 	RunJournal = telemetry.Journal
-	// SweepTiming is the out-of-band wall-clock breakdown of one
-	// instrumented sweep (SweepResult.Timing).
-	SweepTiming = dse.SweepTiming
 )
 
 // NewMetrics returns an empty telemetry registry.
