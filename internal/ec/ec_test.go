@@ -86,7 +86,7 @@ func TestPrimeDblAddAgainstAffine(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			k := randScalar(r, c.N)
 			p := c.ScalarMult(k, g)
-			d := c.NewJacobian()
+			d := c.NewPoint()
 			c.Dbl(d, c.FromAffine(p))
 			got := c.ToAffine(d)
 			want := c.AddAffine(p, p)
@@ -115,7 +115,7 @@ func TestBinaryDblAddAgainstAffine(t *testing.T) {
 			}
 		}
 		// LD doubling against affine doubling.
-		d := c.NewLD()
+		d := c.NewPoint()
 		c.Dbl(d, c.FromAffine(g))
 		got := c.ToAffine(d)
 		want := c.AddAffine(g, g)
@@ -313,7 +313,7 @@ func TestScalarMultAllAlgsAgree(t *testing.T) {
 func TestInfinityHandling(t *testing.T) {
 	c := NISTPrimeCurve("P-192", mp.OSNIST)
 	g := c.Generator()
-	inf := c.NewJacobian()
+	inf := c.NewPoint()
 	// inf + G = G.
 	c.AddMixed(inf, inf, g)
 	got := c.ToAffine(inf)
@@ -327,8 +327,8 @@ func TestInfinityHandling(t *testing.T) {
 		t.Error("G + (-G) != inf")
 	}
 	// 2*inf = inf.
-	d := c.NewJacobian()
-	c.Dbl(d, c.NewJacobian())
+	d := c.NewPoint()
+	c.Dbl(d, c.NewPoint())
 	if !d.IsInf() {
 		t.Error("2*inf != inf")
 	}

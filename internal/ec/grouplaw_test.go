@@ -80,8 +80,9 @@ func TestPropScalarDistributivity(t *testing.T) {
 		if mp.Add(sum, a, b) != 0 || mp.Cmp(sum, c.N) >= 0 {
 			mp.Sub(sum, sum, c.N)
 		}
-		l := c.ScalarBaseMult(sum)
-		rt := c.AddAffine(c.ScalarBaseMult(a), c.ScalarBaseMult(b))
+		g := c.Generator()
+		l := c.ScalarMult(sum, g)
+		rt := c.AddAffine(c.ScalarMult(a, g), c.ScalarMult(b, g))
 		return l.Inf == rt.Inf && (l.Inf || mp.Cmp(l.X, rt.X) == 0 && mp.Cmp(l.Y, rt.Y) == 0)
 	}, &quick.Config{MaxCount: 6})
 	if err != nil {
@@ -129,7 +130,7 @@ func TestBatchToAffineMatchesSingle(t *testing.T) {
 		want = append(want, c.ToAffine(j))
 	}
 	// Include an infinity in the batch.
-	js = append(js, c.NewJacobian())
+	js = append(js, c.NewPoint())
 	got := c.BatchToAffine(js)
 	for i := range want {
 		if got[i].Inf != want[i].Inf || mp.Cmp(got[i].X, want[i].X) != 0 ||

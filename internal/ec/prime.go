@@ -1,10 +1,12 @@
 // Package ec implements elliptic-curve arithmetic over the NIST prime and
-// binary fields in the coordinate systems the paper selects as optimal
-// (Section 4.1): mixed Jacobian-affine for GF(p) and mixed
-// López-Dahab-affine for GF(2^m), plus the scalar-multiplication
-// algorithms — signed sliding window with precomputation for single
-// multiplication, joint-sparse-form twin multiplication for verification,
-// and the Montgomery ladder evaluated for Billie.
+// binary fields. Each family supplies only its coordinate formulas, in the
+// systems the paper selects as optimal (Section 4.1): mixed Jacobian-affine
+// for GF(p) (prime.go) and mixed López-Dahab-affine for GF(2^m)
+// (binary.go). One scalar-multiplication engine (scalarmult.go) runs on
+// both: signed sliding window with precomputation for single
+// multiplication and joint-sparse-form twin multiplication for
+// verification. The Montgomery ladder the paper evaluated for Billie is
+// binary-only.
 package ec
 
 import (
@@ -47,8 +49,8 @@ type AffinePoint struct {
 	Inf  bool
 }
 
-// NewJacobian returns the point at infinity for curve c.
-func (c *PrimeCurve) NewJacobian() *JacobianPoint {
+// NewPoint returns the point at infinity in Jacobian coordinates.
+func (c *PrimeCurve) NewPoint() *JacobianPoint {
 	return &JacobianPoint{X: mp.New(c.F.K), Y: mp.New(c.F.K), Z: mp.New(c.F.K)}
 }
 
@@ -64,7 +66,7 @@ func (p *JacobianPoint) Set(q *JacobianPoint) {
 
 // FromAffine converts a to Jacobian (Z = 1).
 func (c *PrimeCurve) FromAffine(a *AffinePoint) *JacobianPoint {
-	p := c.NewJacobian()
+	p := c.NewPoint()
 	if a.Inf {
 		return p
 	}
@@ -178,7 +180,7 @@ func (c *PrimeCurve) AddMixed(p, q *JacobianPoint, r *AffinePoint) {
 			return
 		}
 		// q = -r: result is infinity.
-		z := c.NewJacobian()
+		z := c.NewPoint()
 		p.Set(z)
 		return
 	}
@@ -200,6 +202,50 @@ func (c *PrimeCurve) AddMixed(p, q *JacobianPoint, r *AffinePoint) {
 	copy(p.X, x3)
 	copy(p.Y, y3)
 	copy(p.Z, z3)
+}
+
+// BatchToAffine converts Jacobian points to affine with one shared field
+// inversion (3 extra multiplications per point).
+func (c *PrimeCurve) BatchToAffine(ps []*JacobianPoint) []*AffinePoint {
+	f := c.F
+	k := f.K
+	out := make([]*AffinePoint, len(ps))
+	// Prefix products of the Z coordinates, skipping infinities.
+	prefix := make([]mp.Int, len(ps))
+	acc := f.One.Clone()
+	for i, p := range ps {
+		prefix[i] = acc.Clone()
+		if !p.IsInf() {
+			t := mp.New(k)
+			f.Mul(t, acc, p.Z)
+			acc = t
+		}
+	}
+	inv := mp.New(k)
+	f.Inv(inv, acc)
+	c.Ops.ToAffine++
+	for i := len(ps) - 1; i >= 0; i-- {
+		p := ps[i]
+		if p.IsInf() {
+			out[i] = &AffinePoint{X: mp.New(k), Y: mp.New(k), Inf: true}
+			continue
+		}
+		zi := mp.New(k)
+		f.Mul(zi, inv, prefix[i]) // 1/Z_i
+		t := mp.New(k)
+		f.Mul(t, inv, p.Z) // strip Z_i from the running inverse
+		copy(inv, t)
+		zi2 := mp.New(k)
+		f.Sqr(zi2, zi)
+		x := mp.New(k)
+		f.Mul(x, p.X, zi2)
+		zi3 := mp.New(k)
+		f.Mul(zi3, zi2, zi)
+		y := mp.New(k)
+		f.Mul(y, p.Y, zi3)
+		out[i] = &AffinePoint{X: x, Y: y}
+	}
+	return out
 }
 
 // NegAffine returns -a (x, -y).

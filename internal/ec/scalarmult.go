@@ -2,11 +2,12 @@ package ec
 
 import "repro/internal/mp"
 
-// Scalar multiplication algorithms (Section 4.1): a signed sliding-window
-// method with a small table of odd multiples for single multiplications
-// (signatures), joint-sparse-form twin multiplication for verification,
-// and the Montgomery ladder the paper evaluated for Billie (and found
-// slower than the sliding window, Figure 7.14).
+// Scalar multiplication algorithms (Section 4.1), written once for both
+// curve families: a signed sliding-window method with a small table of
+// odd multiples for single multiplications (signatures) and
+// joint-sparse-form twin multiplication for verification. The Montgomery
+// ladder the paper evaluated for Billie (and found slower than the
+// sliding window, Figure 7.14) is binary-only and lives in binary.go.
 
 // wnaf recodes scalar x into width-w non-adjacent form: a digit stream
 // (least significant first) of zeros and odd digits |d| < 2^(w-1).
@@ -68,18 +69,35 @@ func addSmall(v mp.Int, d uint32) {
 // multiplication. Width 4 precomputes the odd multiples 3P, 5P, 7P.
 const WindowWidth = 4
 
-// ScalarMult computes x·P with the signed sliding-window method.
-func (c *PrimeCurve) ScalarMult(x mp.Int, p *AffinePoint) *AffinePoint {
+// curve is the point arithmetic the scalar-multiplication engine runs on,
+// over projective points P and affine points A. PrimeCurve (Jacobian) and
+// BinaryCurve (López-Dahab) both implement it, so each algorithm below has
+// one body and the families differ only in their coordinate formulas.
+type curve[P, A any] interface {
+	NewPoint() P
+	FromAffine(A) P
+	ToAffine(P) A
+	Dbl(p, q P)
+	AddMixed(p, q P, r A)
+	NegAffine(A) A
+	AddAffine(a, b A) A
+	BatchToAffine([]P) []A
+}
+
+// scalarMult computes x·p with the signed sliding-window method. Point
+// subtraction costs one negation of a table entry on either family
+// ("only marginally more costly than addition", Section 4.1).
+func scalarMult[C curve[P, A], P, A any](c C, x mp.Int, p A) A {
 	digits := wnaf(x, WindowWidth)
 	// Precompute odd multiples P, 3P, 5P, 7P (affine, via the cheap
 	// table path — in the real software these are computed once per
 	// scalar multiplication).
-	table := c.oddMultiples(p, 1<<(WindowWidth-1))
-	neg := make([]*AffinePoint, len(table))
+	table := oddMultiples(c, p, 1<<(WindowWidth-1))
+	neg := make([]A, len(table))
 	for i, t := range table {
 		neg[i] = c.NegAffine(t)
 	}
-	q := c.NewJacobian()
+	q := c.NewPoint()
 	for i := len(digits) - 1; i >= 0; i-- {
 		c.Dbl(q, q)
 		d := digits[i]
@@ -93,74 +111,29 @@ func (c *PrimeCurve) ScalarMult(x mp.Int, p *AffinePoint) *AffinePoint {
 }
 
 // oddMultiples returns [P, 3P, 5P, ...] with n entries. The multiples are
-// accumulated in Jacobian coordinates and converted to affine with a single
-// shared inversion (Montgomery's simultaneous-inversion trick) — the way
-// the paper's software builds its 3P/5P window table without paying one
-// field inversion per point.
-func (c *PrimeCurve) oddMultiples(p *AffinePoint, n int) []*AffinePoint {
-	table := make([]*AffinePoint, n)
+// accumulated in projective coordinates and converted to affine with a
+// single shared inversion (Montgomery's simultaneous-inversion trick) —
+// the way the paper's software builds its 3P/5P window table without
+// paying one field inversion per point.
+func oddMultiples[C curve[P, A], P, A any](c C, p A, n int) []A {
+	table := make([]A, n)
 	table[0] = p
 	if n == 1 {
 		return table
 	}
-	twoJ := c.NewJacobian()
-	c.Dbl(twoJ, c.FromAffine(p))
-	twoP := c.ToAffine(twoJ) // one inversion for 2P
-	js := make([]*JacobianPoint, n-1)
+	two := c.NewPoint()
+	c.Dbl(two, c.FromAffine(p))
+	twoP := c.ToAffine(two) // one inversion for 2P
+	ps := make([]P, n-1)
 	cur := c.FromAffine(p)
 	for i := 1; i < n; i++ {
-		next := c.NewJacobian()
+		next := c.NewPoint()
 		c.AddMixed(next, cur, twoP)
-		js[i-1] = next
+		ps[i-1] = next
 		cur = next
 	}
-	aff := c.BatchToAffine(js) // one inversion for the whole table
-	copy(table[1:], aff)
+	copy(table[1:], c.BatchToAffine(ps)) // one inversion for the whole table
 	return table
-}
-
-// BatchToAffine converts Jacobian points to affine with one shared field
-// inversion (3 extra multiplications per point).
-func (c *PrimeCurve) BatchToAffine(ps []*JacobianPoint) []*AffinePoint {
-	f := c.F
-	k := f.K
-	out := make([]*AffinePoint, len(ps))
-	// Prefix products of the Z coordinates, skipping infinities.
-	prefix := make([]mp.Int, len(ps))
-	acc := f.One.Clone()
-	for i, p := range ps {
-		prefix[i] = acc.Clone()
-		if !p.IsInf() {
-			t := mp.New(k)
-			f.Mul(t, acc, p.Z)
-			acc = t
-		}
-	}
-	inv := mp.New(k)
-	f.Inv(inv, acc)
-	c.Ops.ToAffine++
-	for i := len(ps) - 1; i >= 0; i-- {
-		p := ps[i]
-		if p.IsInf() {
-			out[i] = &AffinePoint{X: mp.New(k), Y: mp.New(k), Inf: true}
-			continue
-		}
-		zi := mp.New(k)
-		f.Mul(zi, inv, prefix[i]) // 1/Z_i
-		t := mp.New(k)
-		f.Mul(t, inv, p.Z) // strip Z_i from the running inverse
-		copy(inv, t)
-		zi2 := mp.New(k)
-		f.Sqr(zi2, zi)
-		x := mp.New(k)
-		f.Mul(x, p.X, zi2)
-		zi3 := mp.New(k)
-		f.Mul(zi3, zi2, zi)
-		y := mp.New(k)
-		f.Mul(y, p.Y, zi3)
-		out[i] = &AffinePoint{X: x, Y: y}
-	}
-	return out
 }
 
 // jsf computes the joint sparse form of scalars k0 and k1 (Solinas; Guide
@@ -217,43 +190,22 @@ func shiftWithDigit(v mp.Int, carryIn, d int8) int8 {
 	return 0
 }
 
-// TwinMult computes u0·P + u1·Q with JSF twin multiplication using the
-// precomputed points P+Q and P−Q (Section 4.1).
-func (c *PrimeCurve) TwinMult(u0 mp.Int, p *AffinePoint, u1 mp.Int, q *AffinePoint) *AffinePoint {
+// twinMult computes u0·p + u1·q with JSF twin multiplication using the
+// precomputed points p+q and p−q (Section 4.1).
+func twinMult[C curve[P, A], P, A any](c C, u0 mp.Int, p A, u1 mp.Int, q A) A {
 	d0, d1 := jsf(u0, u1)
 	sum := c.AddAffine(p, q)               // P+Q
 	diff := c.AddAffine(p, c.NegAffine(q)) // P−Q
-	negP := c.NegAffine(p)
-	negQ := c.NegAffine(q)
-	negSum := c.NegAffine(sum)
-	negDiff := c.NegAffine(diff)
-	pick := func(a, b int8) *AffinePoint {
-		switch {
-		case a == 1 && b == 1:
-			return sum
-		case a == 1 && b == 0:
-			return p
-		case a == 1 && b == -1:
-			return diff
-		case a == 0 && b == 1:
-			return q
-		case a == 0 && b == -1:
-			return negQ
-		case a == -1 && b == 1:
-			return negDiff
-		case a == -1 && b == 0:
-			return negP
-		case a == -1 && b == -1:
-			return negSum
-		}
-		return nil
+	// table[a+1][b+1] is the point added for the digit pair (a, b); the
+	// pair (0, 0) adds nothing.
+	var none A
+	table := [3][3]A{
+		{c.NegAffine(sum), c.NegAffine(p), c.NegAffine(diff)},
+		{c.NegAffine(q), none, q},
+		{diff, p, sum},
 	}
-	r := c.NewJacobian()
-	n := len(d0)
-	if len(d1) > n {
-		n = len(d1)
-	}
-	for i := n - 1; i >= 0; i-- {
+	r := c.NewPoint()
+	for i := max(len(d0), len(d1)) - 1; i >= 0; i-- {
 		c.Dbl(r, r)
 		var a, b int8
 		if i < len(d0) {
@@ -262,14 +214,31 @@ func (c *PrimeCurve) TwinMult(u0 mp.Int, p *AffinePoint, u1 mp.Int, q *AffinePoi
 		if i < len(d1) {
 			b = d1[i]
 		}
-		if t := pick(a, b); t != nil {
-			c.AddMixed(r, r, t)
+		if a != 0 || b != 0 {
+			c.AddMixed(r, r, table[a+1][b+1])
 		}
 	}
 	return c.ToAffine(r)
 }
 
-// ScalarBaseMult computes x·G.
-func (c *PrimeCurve) ScalarBaseMult(x mp.Int) *AffinePoint {
-	return c.ScalarMult(x, c.Generator())
+// ScalarMult computes x·P with the signed sliding-window method.
+func (c *PrimeCurve) ScalarMult(x mp.Int, p *AffinePoint) *AffinePoint {
+	return scalarMult(c, x, p)
+}
+
+// TwinMult computes u0·P + u1·Q with JSF twin multiplication (ECDSA
+// verification).
+func (c *PrimeCurve) TwinMult(u0 mp.Int, p *AffinePoint, u1 mp.Int, q *AffinePoint) *AffinePoint {
+	return twinMult(c, u0, p, u1, q)
+}
+
+// ScalarMult computes x·P with the signed sliding-window method.
+func (c *BinaryCurve) ScalarMult(x mp.Int, p *BinaryAffinePoint) *BinaryAffinePoint {
+	return scalarMult(c, x, p)
+}
+
+// TwinMult computes u0·P + u1·Q with JSF twin multiplication (ECDSA
+// verification).
+func (c *BinaryCurve) TwinMult(u0 mp.Int, p *BinaryAffinePoint, u1 mp.Int, q *BinaryAffinePoint) *BinaryAffinePoint {
+	return twinMult(c, u0, p, u1, q)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 
 	"repro/internal/ec"
+	"repro/internal/mp"
 )
 
 // Elliptic-curve Diffie-Hellman — the "session key establishment for
@@ -36,15 +37,7 @@ func ECDHBinary(priv *BinaryPrivateKey, peer *ec.BinaryAffinePoint) ([]byte, err
 	if shared.Inf {
 		return nil, errors.New("ecdh: degenerate shared point")
 	}
-	buf := make([]byte, 4*len(shared.X))
-	for i, w := range shared.X {
-		off := len(buf) - 4*(i+1)
-		buf[off] = byte(w >> 24)
-		buf[off+1] = byte(w >> 16)
-		buf[off+2] = byte(w >> 8)
-		buf[off+3] = byte(w)
-	}
-	key := sha256.Sum256(buf)
+	key := sha256.Sum256(mp.Int(shared.X).Bytes())
 	return key[:], nil
 }
 
@@ -52,35 +45,19 @@ func ECDHBinary(priv *BinaryPrivateKey, peer *ec.BinaryAffinePoint) ([]byte, err
 // agreement (one scalar multiplication plus the peer-key curve check),
 // returning the derived session key so callers can cross-check agreement
 // with the peer's side.
-func ECDHProfile(priv *PrivateKey, peer *ec.AffinePoint) ([]byte, OpProfile, error) {
-	curve := priv.Curve
-	curve.F.Counters.Reset()
-	curve.Ops.Reset()
-	key, err := ECDH(priv, peer)
+func ECDHProfile(priv *PrivateKey, peer *ec.AffinePoint) (key []byte, p OpProfile, err error) {
+	p = profilePrime(priv.Curve, func() { key, err = ECDH(priv, peer) })
 	if err != nil {
 		return nil, OpProfile{}, err
 	}
-	return key, OpProfile{
-		Field:     curve.F.Counters,
-		Point:     curve.Ops,
-		FieldBits: curve.F.Bits,
-		OrderBits: curve.NBits,
-	}, nil
+	return key, p, nil
 }
 
 // ECDHProfileBinary is the binary-curve variant of ECDHProfile.
-func ECDHProfileBinary(priv *BinaryPrivateKey, peer *ec.BinaryAffinePoint) ([]byte, BinaryOpProfile, error) {
-	curve := priv.Curve
-	curve.F.Counters.Reset()
-	curve.Ops.Reset()
-	key, err := ECDHBinary(priv, peer)
+func ECDHProfileBinary(priv *BinaryPrivateKey, peer *ec.BinaryAffinePoint) (key []byte, p OpProfile, err error) {
+	p = profileBinary(priv.Curve, func() { key, err = ECDHBinary(priv, peer) })
 	if err != nil {
-		return nil, BinaryOpProfile{}, err
+		return nil, OpProfile{}, err
 	}
-	return key, BinaryOpProfile{
-		Field:     binaryFieldCensus(curve),
-		Point:     curve.Ops,
-		FieldBits: curve.F.M,
-		OrderBits: curve.NBits,
-	}, nil
+	return key, p, nil
 }

@@ -43,7 +43,7 @@ func newOrderField(name string, n mp.Int, bits int) *mp.Field {
 func GenerateKey(curve *ec.PrimeCurve, seed []byte) *PrivateKey {
 	n := curve.N
 	d := hashToScalar(seed, n)
-	q := curve.ScalarBaseMult(d)
+	q := curve.ScalarMult(d, curve.Generator())
 	return &PrivateKey{Curve: curve, D: d, Q: q}
 }
 
@@ -123,7 +123,7 @@ func signWith(of *mp.Field, priv *PrivateKey, digest []byte) (*Signature, error)
 			k = hashToScalar(extra, n)
 		}
 		// R = k*G; r = R.x mod n.
-		R := curve.ScalarBaseMult(k)
+		R := curve.ScalarMult(k, curve.Generator())
 		r := mp.New(len(n))
 		copyTruncate(r, R.X)
 		for mp.Cmp(r, n) >= 0 {

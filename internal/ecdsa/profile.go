@@ -5,146 +5,89 @@ import (
 	"repro/internal/mp"
 )
 
-// OpProfile is the exact operation census of one ECDSA operation: how many
-// curve-field operations, point operations, and group-order ("protocol")
-// operations ran. The simulation layer prices these counts with the
-// per-operation cycle costs measured on the Pete simulator or on the
-// accelerator models — the hierarchical methodology of Figure 4.1.
+// OpProfile is the exact operation census of one ECDSA operation on
+// either curve family: how many curve-field operations, point operations,
+// and group-order ("protocol") operations ran. The simulation layer prices
+// these counts with the per-operation cycle costs measured on the Pete
+// simulator or on the accelerator models — the hierarchical methodology of
+// Figure 4.1. A binary field has no subtraction, so its Field.Sub stays 0;
+// the order arithmetic is integer (prime-field) work on both families
+// (Section 2.1.4).
 //
 // Each profiled operation uses a private group-order field, so profiling
 // is safe to run concurrently as long as each goroutine uses its own
 // curve instance (the curve's field counters are per-instance state).
 type OpProfile struct {
-	Field     mp.OpCounters      // curve-field ops (prime curves)
-	Order     mp.OpCounters      // arithmetic modulo the group order
-	Point     ec.PointOpCounters // point doubles/adds
-	FieldBits int
-	OrderBits int
+	Field mp.OpCounters      // curve-field ops
+	Order mp.OpCounters      // arithmetic modulo the group order
+	Point ec.PointOpCounters // point doubles/adds
+}
+
+// profilePrime runs op with the curve's counters zeroed and returns the
+// curve-field and point operations it counted.
+func profilePrime(curve *ec.PrimeCurve, op func()) OpProfile {
+	curve.F.Counters.Reset()
+	curve.Ops.Reset()
+	op()
+	return OpProfile{Field: curve.F.Counters, Point: curve.Ops}
+}
+
+// profileBinary is profilePrime on a binary curve.
+func profileBinary(curve *ec.BinaryCurve, op func()) OpProfile {
+	curve.F.Counters.Reset()
+	curve.Ops.Reset()
+	op()
+	f := curve.F.Counters
+	return OpProfile{
+		Field: mp.OpCounters{Mul: f.Mul, Sqr: f.Sqr, Add: f.Add, Inv: f.Inv},
+		Point: curve.Ops,
+	}
 }
 
 // ProfileKeyGen runs GenerateKey while recording the operation census —
 // one scalar base multiplication plus the deterministic seed hashing
 // (which contributes no field operations).
-func ProfileKeyGen(curve *ec.PrimeCurve, seed []byte) (*PrivateKey, OpProfile) {
-	curve.F.Counters.Reset()
-	curve.Ops.Reset()
-	priv := GenerateKey(curve, seed)
-	p := OpProfile{
-		Field:     curve.F.Counters,
-		Point:     curve.Ops,
-		FieldBits: curve.F.Bits,
-		OrderBits: curve.NBits,
-	}
+func ProfileKeyGen(curve *ec.PrimeCurve, seed []byte) (priv *PrivateKey, p OpProfile) {
+	p = profilePrime(curve, func() { priv = GenerateKey(curve, seed) })
 	return priv, p
 }
 
 // ProfileSign runs Sign while recording the operation census.
-func ProfileSign(priv *PrivateKey, digest []byte) (*Signature, OpProfile, error) {
+func ProfileSign(priv *PrivateKey, digest []byte) (sig *Signature, p OpProfile, err error) {
 	curve := priv.Curve
-	curve.F.Counters.Reset()
-	curve.Ops.Reset()
 	of := newOrderField(curve.Name, curve.N, curve.NBits)
-	sig, err := signWith(of, priv, digest)
-	p := OpProfile{
-		Field:     curve.F.Counters,
-		Order:     of.Counters,
-		Point:     curve.Ops,
-		FieldBits: curve.F.Bits,
-		OrderBits: curve.NBits,
-	}
+	p = profilePrime(curve, func() { sig, err = signWith(of, priv, digest) })
+	p.Order = of.Counters
 	return sig, p, err
 }
 
 // ProfileVerify runs Verify while recording the operation census.
-func ProfileVerify(curve *ec.PrimeCurve, pub *ec.AffinePoint, digest []byte, sig *Signature) (bool, OpProfile) {
-	curve.F.Counters.Reset()
-	curve.Ops.Reset()
+func ProfileVerify(curve *ec.PrimeCurve, pub *ec.AffinePoint, digest []byte, sig *Signature) (ok bool, p OpProfile) {
 	of := newOrderField(curve.Name, curve.N, curve.NBits)
-	ok := verifyWith(of, curve, pub, digest, sig)
-	p := OpProfile{
-		Field:     curve.F.Counters,
-		Order:     of.Counters,
-		Point:     curve.Ops,
-		FieldBits: curve.F.Bits,
-		OrderBits: curve.NBits,
-	}
+	p = profilePrime(curve, func() { ok = verifyWith(of, curve, pub, digest, sig) })
+	p.Order = of.Counters
 	return ok, p
 }
 
-// BinaryOpProfile is the census for a binary-curve ECDSA operation; the
-// order arithmetic is still integer (prime-field) work (Section 2.1.4).
-type BinaryOpProfile struct {
-	Field     gf2OpCounters
-	Order     mp.OpCounters
-	Point     ec.PointOpCounters
-	FieldBits int
-	OrderBits int
-}
-
-// gf2OpCounters mirrors gf2.OpCounters without importing it here (the sim
-// layer converts); kept minimal.
-type gf2OpCounters struct {
-	Mul, Sqr, Add, Inv uint64
-}
-
-// binaryFieldCensus snapshots a binary curve's field counters — the one
-// place the gf2 counter set is flattened, so a new counted operation
-// cannot be picked up by some profilers and dropped by others.
-func binaryFieldCensus(curve *ec.BinaryCurve) gf2OpCounters {
-	return gf2OpCounters{
-		Mul: curve.F.Counters.Mul, Sqr: curve.F.Counters.Sqr,
-		Add: curve.F.Counters.Add, Inv: curve.F.Counters.Inv,
-	}
-}
-
 // ProfileKeyGenBinary runs GenerateBinaryKey while recording the census.
-func ProfileKeyGenBinary(curve *ec.BinaryCurve, seed []byte) (*BinaryPrivateKey, BinaryOpProfile) {
-	curve.F.Counters.Reset()
-	curve.Ops.Reset()
-	priv := GenerateBinaryKey(curve, seed)
-	p := BinaryOpProfile{
-		Field:     binaryFieldCensus(curve),
-		Point:     curve.Ops,
-		FieldBits: curve.F.M,
-		OrderBits: curve.NBits,
-	}
+func ProfileKeyGenBinary(curve *ec.BinaryCurve, seed []byte) (priv *BinaryPrivateKey, p OpProfile) {
+	p = profileBinary(curve, func() { priv = GenerateBinaryKey(curve, seed) })
 	return priv, p
 }
 
 // ProfileSignBinary runs SignBinary while recording the census.
-func ProfileSignBinary(priv *BinaryPrivateKey, digest []byte) (*Signature, BinaryOpProfile, error) {
+func ProfileSignBinary(priv *BinaryPrivateKey, digest []byte) (sig *Signature, p OpProfile, err error) {
 	curve := priv.Curve
-	curve.F.Counters.Reset()
-	curve.Ops.Reset()
 	of := newOrderField(curve.Name, binaryOrder(curve), curve.NBits)
-	sig, err := signBinaryWith(of, priv, digest)
-	p := BinaryOpProfile{
-		Field:     binaryFieldCensus(curve),
-		Order:     of.Counters,
-		Point:     curve.Ops,
-		FieldBits: curve.F.M,
-		OrderBits: curve.NBits,
-	}
+	p = profileBinary(curve, func() { sig, err = signBinaryWith(of, priv, digest) })
+	p.Order = of.Counters
 	return sig, p, err
 }
 
 // ProfileVerifyBinary runs VerifyBinary while recording the census.
-func ProfileVerifyBinary(curve *ec.BinaryCurve, pub *ec.BinaryAffinePoint, digest []byte, sig *Signature) (bool, BinaryOpProfile) {
-	curve.F.Counters.Reset()
-	curve.Ops.Reset()
+func ProfileVerifyBinary(curve *ec.BinaryCurve, pub *ec.BinaryAffinePoint, digest []byte, sig *Signature) (ok bool, p OpProfile) {
 	of := newOrderField(curve.Name, binaryOrder(curve), curve.NBits)
-	ok := verifyBinaryWith(of, curve, pub, digest, sig)
-	p := BinaryOpProfile{
-		Field:     binaryFieldCensus(curve),
-		Order:     of.Counters,
-		Point:     curve.Ops,
-		FieldBits: curve.F.M,
-		OrderBits: curve.NBits,
-	}
+	p = profileBinary(curve, func() { ok = verifyBinaryWith(of, curve, pub, digest, sig) })
+	p.Order = of.Counters
 	return ok, p
-}
-
-// Mul / Sqr / Add / Inv accessors for the sim layer.
-func (c gf2OpCounters) Counts() (mul, sqr, add, inv uint64) {
-	return c.Mul, c.Sqr, c.Add, c.Inv
 }

@@ -79,11 +79,11 @@ type profileFunc func(curve string, phases []string) (censusProfile, error)
 func profileCurve(curveName string, phases []string) (censusProfile, error) {
 	if IsPrimeCurve(curveName) {
 		curve := ec.NISTPrimeCurve(curveName, censusPrimeAlg)
-		ph, err := profilePrimeWorkload(curve, phases)
+		ph, err := profileWorkload(curveName, primeOps(curve), phases)
 		return censusProfile{ph, curveParams{curve.F.K, curve.F.Bits, curve.NBits}}, err
 	}
 	curve := ec.NISTBinaryCurve(curveName, censusBinaryAlg)
-	ph, err := profileBinaryWorkload(curve, phases)
+	ph, err := profileWorkload(curveName, binaryOps(curve), phases)
 	return censusProfile{ph, curveParams{curve.F.K, curve.F.M, curve.NBits}}, err
 }
 

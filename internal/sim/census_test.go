@@ -141,14 +141,14 @@ func TestCensusMemoPhaseInvariance(t *testing.T) {
 				if IsPrimeCurve(curve) {
 					for _, alg := range []mp.MulAlg{mp.OSNIST, mp.PSNIST, mp.CIOS, mp.FIPS} {
 						c := ec.NISTPrimeCurve(curve, alg)
-						got, err := profilePrimeWorkload(c, wl.phases)
+						got, err := profileWorkload(curve, primeOps(c), wl.phases)
 						check(alg.String()+"/"+wl.name, got, curveParams{c.F.K, c.F.Bits, c.NBits}, wl.phases, err)
 					}
 					continue
 				}
 				for _, alg := range []gf2.MulAlg{gf2.Comb, gf2.CLMul} {
 					c := ec.NISTBinaryCurve(curve, alg)
-					got, err := profileBinaryWorkload(c, wl.phases)
+					got, err := profileWorkload(curve, binaryOps(c), wl.phases)
 					check(alg.String()+"/"+wl.name, got, curveParams{c.F.K, c.F.M, c.NBits}, wl.phases, err)
 				}
 			}

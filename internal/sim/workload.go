@@ -116,98 +116,60 @@ func censusOf(p ecdsa.OpProfile) opCensus {
 	}
 }
 
-func censusOfBinary(p ecdsa.BinaryOpProfile) opCensus {
-	mul, sqr, add, inv := p.Field.Counts()
-	return opCensus{
-		mul: mul, sqr: sqr, add: add, inv: inv,
-		order: p.Order, point: p.Point,
-	}
-}
-
 // profiledPhase is one executed, profiled workload phase awaiting pricing.
 type profiledPhase struct {
 	name   string
 	census opCensus
 }
 
-// profilePrimeWorkload executes the phases functionally, in order, on a
-// prime curve and returns their censuses. On error it returns the phases
-// that completed before it.
-func profilePrimeWorkload(curve *ec.PrimeCurve, phases []string) ([]profiledPhase, error) {
-	seed := []byte("sim-key-" + curve.Name)
-	var priv *ecdsa.PrivateKey
-	ensureKey := func() {
-		if priv == nil {
-			priv = ecdsa.GenerateKey(curve, seed)
-		}
-	}
-	var sig *ecdsa.Signature
-	reg := metrics()
-	out := make([]profiledPhase, 0, len(phases))
-	for _, ph := range phases {
-		var phaseStart time.Time
-		if reg != nil {
-			phaseStart = time.Now()
-		}
-		var census opCensus
-		switch ph {
-		case PhaseKeyGen:
-			var prof ecdsa.OpProfile
-			priv, prof = ecdsa.ProfileKeyGen(curve, seed)
-			census = censusOf(prof)
-		case PhaseECDH:
-			ensureKey()
-			// The peer's half runs un-profiled first: only the device
-			// side is priced, but both sides must really agree.
-			peer := ecdsa.GenerateKey(curve, []byte("sim-peer-"+curve.Name))
-			peerKey, err := ecdsa.ECDH(peer, priv.Q)
-			if err != nil {
-				return out, err
-			}
-			key, prof, err := ecdsa.ECDHProfile(priv, peer.Q)
-			if err != nil {
-				return out, err
-			}
-			if string(key) != string(peerKey) {
-				return out, fmt.Errorf("sim: ECDH sides disagree on %s", curve.Name)
-			}
-			census = censusOf(prof)
-		case PhaseSign:
-			ensureKey()
-			var prof ecdsa.OpProfile
-			var err error
-			sig, prof, err = ecdsa.ProfileSign(priv, digest())
-			if err != nil {
-				return out, err
-			}
-			census = censusOf(prof)
-		case PhaseVerify:
-			if priv == nil || sig == nil {
-				return out, fmt.Errorf("sim: phase list %q verifies before signing", phases)
-			}
-			ok, prof := ecdsa.ProfileVerify(curve, priv.Q, digest(), sig)
-			if !ok {
-				return out, fmt.Errorf("sim: functional verification failed on %s", curve.Name)
-			}
-			census = censusOf(prof)
-		default:
-			return out, fmt.Errorf("sim: unknown workload phase %q", ph)
-		}
-		if reg != nil {
-			reg.Histogram("sim.profile." + ph).Observe(time.Since(phaseStart))
-		}
-		out = append(out, profiledPhase{name: ph, census: census})
-	}
-	return out, nil
+// familyOps is one curve family's profiled ecdsa operations, bound to one
+// curve, over the family's private-key type K.
+type familyOps[K any] struct {
+	keyGen func(seed []byte) (K, ecdsa.OpProfile)
+	ecdh   func(priv, peer K) ([]byte, ecdsa.OpProfile, error)
+	sign   func(priv K, digest []byte) (*ecdsa.Signature, ecdsa.OpProfile, error)
+	verify func(priv K, digest []byte, sig *ecdsa.Signature) (bool, ecdsa.OpProfile)
 }
 
-// profileBinaryWorkload is the binary-curve twin of profilePrimeWorkload.
-func profileBinaryWorkload(curve *ec.BinaryCurve, phases []string) ([]profiledPhase, error) {
-	seed := []byte("sim-key-" + curve.Name)
-	var priv *ecdsa.BinaryPrivateKey
+func primeOps(c *ec.PrimeCurve) familyOps[*ecdsa.PrivateKey] {
+	return familyOps[*ecdsa.PrivateKey]{
+		keyGen: func(seed []byte) (*ecdsa.PrivateKey, ecdsa.OpProfile) { return ecdsa.ProfileKeyGen(c, seed) },
+		ecdh: func(priv, peer *ecdsa.PrivateKey) ([]byte, ecdsa.OpProfile, error) {
+			return ecdsa.ECDHProfile(priv, peer.Q)
+		},
+		sign: ecdsa.ProfileSign,
+		verify: func(priv *ecdsa.PrivateKey, digest []byte, sig *ecdsa.Signature) (bool, ecdsa.OpProfile) {
+			return ecdsa.ProfileVerify(c, priv.Q, digest, sig)
+		},
+	}
+}
+
+func binaryOps(c *ec.BinaryCurve) familyOps[*ecdsa.BinaryPrivateKey] {
+	return familyOps[*ecdsa.BinaryPrivateKey]{
+		keyGen: func(seed []byte) (*ecdsa.BinaryPrivateKey, ecdsa.OpProfile) {
+			return ecdsa.ProfileKeyGenBinary(c, seed)
+		},
+		ecdh: func(priv, peer *ecdsa.BinaryPrivateKey) ([]byte, ecdsa.OpProfile, error) {
+			return ecdsa.ECDHProfileBinary(priv, peer.Q)
+		},
+		sign: ecdsa.ProfileSignBinary,
+		verify: func(priv *ecdsa.BinaryPrivateKey, digest []byte, sig *ecdsa.Signature) (bool, ecdsa.OpProfile) {
+			return ecdsa.ProfileVerifyBinary(c, priv.Q, digest, sig)
+		},
+	}
+}
+
+// profileWorkload executes the phases functionally, in order, on the
+// named curve through its family's operations and returns their
+// censuses. On error it returns the phases that completed before it.
+func profileWorkload[K any](curve string, ops familyOps[K], phases []string) ([]profiledPhase, error) {
+	seed := []byte("sim-key-" + curve)
+	var priv K
+	keyed := false
 	ensureKey := func() {
-		if priv == nil {
-			priv = ecdsa.GenerateBinaryKey(curve, seed)
+		if !keyed {
+			priv, _ = ops.keyGen(seed)
+			keyed = true
 		}
 	}
 	var sig *ecdsa.Signature
@@ -218,52 +180,51 @@ func profileBinaryWorkload(curve *ec.BinaryCurve, phases []string) ([]profiledPh
 		if reg != nil {
 			phaseStart = time.Now()
 		}
-		var census opCensus
+		var prof ecdsa.OpProfile
 		switch ph {
 		case PhaseKeyGen:
-			var prof ecdsa.BinaryOpProfile
-			priv, prof = ecdsa.ProfileKeyGenBinary(curve, seed)
-			census = censusOfBinary(prof)
+			priv, prof = ops.keyGen(seed)
+			keyed = true
 		case PhaseECDH:
 			ensureKey()
-			peer := ecdsa.GenerateBinaryKey(curve, []byte("sim-peer-"+curve.Name))
-			peerKey, err := ecdsa.ECDHBinary(peer, priv.Q)
+			// The peer's half runs first: only the device side is
+			// priced, but both sides must really agree.
+			peer, _ := ops.keyGen([]byte("sim-peer-" + curve))
+			peerKey, _, err := ops.ecdh(peer, priv)
 			if err != nil {
 				return out, err
 			}
-			key, prof, err := ecdsa.ECDHProfileBinary(priv, peer.Q)
+			var key []byte
+			key, prof, err = ops.ecdh(priv, peer)
 			if err != nil {
 				return out, err
 			}
 			if string(key) != string(peerKey) {
-				return out, fmt.Errorf("sim: ECDH sides disagree on %s", curve.Name)
+				return out, fmt.Errorf("sim: ECDH sides disagree on %s", curve)
 			}
-			census = censusOfBinary(prof)
 		case PhaseSign:
 			ensureKey()
-			var prof ecdsa.BinaryOpProfile
 			var err error
-			sig, prof, err = ecdsa.ProfileSignBinary(priv, digest())
+			sig, prof, err = ops.sign(priv, digest())
 			if err != nil {
 				return out, err
 			}
-			census = censusOfBinary(prof)
 		case PhaseVerify:
-			if priv == nil || sig == nil {
+			if !keyed || sig == nil {
 				return out, fmt.Errorf("sim: phase list %q verifies before signing", phases)
 			}
-			ok, prof := ecdsa.ProfileVerifyBinary(curve, priv.Q, digest(), sig)
+			var ok bool
+			ok, prof = ops.verify(priv, digest(), sig)
 			if !ok {
-				return out, fmt.Errorf("sim: functional verification failed on %s", curve.Name)
+				return out, fmt.Errorf("sim: functional verification failed on %s", curve)
 			}
-			census = censusOfBinary(prof)
 		default:
 			return out, fmt.Errorf("sim: unknown workload phase %q", ph)
 		}
 		if reg != nil {
 			reg.Histogram("sim.profile." + ph).Observe(time.Since(phaseStart))
 		}
-		out = append(out, profiledPhase{name: ph, census: census})
+		out = append(out, profiledPhase{name: ph, census: censusOf(prof)})
 	}
 	return out, nil
 }
