@@ -85,19 +85,16 @@ func nonce(d mp.Int, e mp.Int, n mp.Int) mp.Int {
 	return hashToScalar(mac.Sum(nil), n)
 }
 
-// hashToE truncates a message digest to the order's bit length (FIPS 186
-// bits2int).
+// hashToE converts a message digest to an integer modulo n (FIPS 186-4
+// bits2int): it keeps the leftmost min(nbits, 8·len(digest)) bits of the
+// digest. The digest is read at its full width before the shift, so a
+// digest wider than n in words loses only its trailing bits.
 func hashToE(digest []byte, n mp.Int) mp.Int {
-	nb := n.BitLen()
-	e := mp.FromBytes(digest, len(n))
-	// If the digest is longer than n, use the leftmost bits.
-	db := 8 * len(digest)
-	if db > nb {
-		shift := db - nb
-		for s := 0; s < shift; s++ {
-			mp.Shr1(e, e)
-		}
+	e := mp.FromBytes(digest, max(len(n), (len(digest)+3)/4))
+	for s := 8*len(digest) - n.BitLen(); s > 0; s-- {
+		mp.Shr1(e, e)
 	}
+	e = e[:len(n):len(n)] // the shifted value fits in n's words
 	for mp.Cmp(e, n) >= 0 {
 		mp.Sub(e, e, n)
 	}

@@ -2,6 +2,7 @@ package ecdsa
 
 import (
 	"crypto/sha256"
+	"math/big"
 	"testing"
 
 	"repro/internal/ec"
@@ -159,17 +160,33 @@ func TestKeyGeneration(t *testing.T) {
 	}
 }
 
+// TestHashToE checks FIPS 186-4 bits2int against a math/big reference:
+// the leftmost min(nbits, 8·len(digest)) bits of the digest, reduced
+// modulo n, for digests shorter and longer than the order on curves whose
+// order is narrower (P-192, P-224, B-163) and wider (P-521) than SHA-256.
 func TestHashToE(t *testing.T) {
-	curve := ec.NISTPrimeCurve("P-521", mp.OSNIST)
-	// A 256-bit digest into a 521-bit order: no truncation needed.
-	e := hashToE(digestOf("x"), curve.N)
-	if e.BitLen() > 256 {
-		t.Error("hashToE expanded the digest")
+	orders := map[string]mp.Int{}
+	for _, name := range []string{"P-192", "P-224", "P-521"} {
+		orders[name] = ec.NISTPrimeCurve(name, mp.OSNIST).N
 	}
-	// A digest longer than the order: must truncate to leftmost bits.
-	c192 := ec.NISTPrimeCurve("P-192", mp.OSNIST)
-	e2 := hashToE(digestOf("y"), c192.N)
-	if mp.Cmp(e2, c192.N) >= 0 {
-		t.Error("hashToE out of range")
+	orders["B-163"] = mp.Int(ec.NISTBinaryCurve("B-163", gf2.Comb).N)
+	for name, n := range orders {
+		nb := toBig(n)
+		for _, size := range []int{16, 20, 28, 32, 48, 64, 67} {
+			digest := make([]byte, size)
+			for i := range digest {
+				digest[i] = byte(0xa5 ^ 37*i) // leading byte nonzero
+			}
+			want := new(big.Int).SetBytes(digest)
+			if excess := 8*size - nb.BitLen(); excess > 0 {
+				want.Rsh(want, uint(excess))
+			}
+			want.Mod(want, nb)
+			e := hashToE(digest, n)
+			if len(e) != len(n) || toBig(e).Cmp(want) != 0 {
+				t.Errorf("%s, %d-byte digest: e = %x (%d words), want %x (%d words)",
+					name, size, toBig(e), len(e), want, len(n))
+			}
+		}
 	}
 }
