@@ -35,6 +35,8 @@
 // per-knob flags (-cache, -prefetch, -ideal-cache, -no-double-buffer,
 // -width, -digit, -gate-accel-idle, -line, -workload) from its option
 // axes; -list prints the registry alongside the experiment identifiers.
+// A knob that cannot change the chosen architecture's result (say -digit
+// with -arch monte) is an error, as is any knob outside an -arch run.
 package main
 
 import (
@@ -82,19 +84,17 @@ func main() {
 
 	// The design-space flags other than -workload configure a single
 	// -arch run; collected here so the coherence rules can reject one a
-	// sweep or experiment mode would silently drop.
+	// sweep, an experiment or the chosen architecture would silently drop.
 	var axisFlags []string
-	if *arch == "" {
-		isAxis := make(map[string]bool)
-		for _, name := range repro.AxisFlagNames() {
-			isAxis[name] = true
-		}
-		flag.Visit(func(f *flag.Flag) {
-			if isAxis[f.Name] && f.Name != "workload" {
-				axisFlags = append(axisFlags, f.Name)
-			}
-		})
+	isAxis := make(map[string]bool)
+	for _, name := range repro.AxisFlagNames() {
+		isAxis[name] = true
 	}
+	flag.Visit(func(f *flag.Flag) {
+		if isAxis[f.Name] && f.Name != "workload" {
+			axisFlags = append(axisFlags, f.Name)
+		}
+	})
 	// Every flag-coherence rule lives in conflictError so each rejection
 	// is regression-testable; main only prints the verdict and exits.
 	if msg := conflictError(cliFlags{
@@ -196,8 +196,8 @@ type cliFlags struct {
 	workers             int
 	stats               bool
 	traceFile, cacheDir string
-	// axisFlags are non-workload design-space flags set without -arch
-	// (they configure a single -arch run only).
+	// axisFlags are the non-workload design-space flags set on the
+	// command line (they configure a single -arch run only).
 	axisFlags []string
 }
 
@@ -219,7 +219,7 @@ func conflictError(c cliFlags) string {
 	case c.workload != "" && (c.all || c.exp != "" || c.list):
 		// The experiment renderers price fixed scenarios.
 		return "-workload applies to -arch runs and -sweep; -all/-exp/-list render fixed experiments"
-	case len(c.axisFlags) > 0:
+	case len(c.axisFlags) > 0 && c.arch == "":
 		return fmt.Sprintf("-%s applies to -arch runs only; -sweep explores the full axis grid (use -curves/-workload to subset it)", c.axisFlags[0])
 	case c.curves != "" && !c.sweep:
 		return "-curves applies to -sweep only"
@@ -238,6 +238,15 @@ func conflictError(c cliFlags) string {
 			return "-trace applies to -sweep only"
 		case c.cacheDir != "":
 			return "-cache-dir applies to -sweep only"
+		}
+	}
+	// An unparsable -arch is main's error to report.
+	if a, err := repro.ParseArchitecture(c.arch); c.arch != "" && err == nil {
+		relevant := repro.RelevantAxisFlags(a)
+		for _, f := range c.axisFlags {
+			if !slices.Contains(relevant, f) {
+				return fmt.Sprintf("-%s does not apply to -arch %s (its axis flags: -%s)", f, c.arch, strings.Join(relevant, ", -"))
+			}
 		}
 	}
 	return ""

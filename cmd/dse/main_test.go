@@ -31,6 +31,13 @@ func TestConflictError(t *testing.T) {
 		{"trace-alone", cliFlags{traceFile: "t.jsonl"}, "-trace applies to -sweep only"},
 		{"cache-dir-alone", cliFlags{cacheDir: ".dse"}, "-cache-dir applies to -sweep only"},
 
+		// An -arch run rejects an axis flag its architecture ignores.
+		{"arch-monte-digit", cliFlags{arch: "monte", axisFlags: []string{"digit"}}, "-digit does not apply to -arch monte"},
+		{"arch-baseline-cache", cliFlags{arch: "baseline", axisFlags: []string{"cache", "prefetch"}}, "-cache does not apply to -arch baseline"},
+		{"arch-billie-width", cliFlags{arch: "billie", axisFlags: []string{"width", "no-double-buffer"}}, "-width does not apply to -arch billie"},
+		// A relevant axis flag does not excuse another mode's flag.
+		{"arch-relevant-axis+curves", cliFlags{arch: "monte", axisFlags: []string{"width"}, curves: "P-192"}, "-curves applies to -sweep only"},
+
 		// Adaptive exploration needs -sweep.
 		{"adaptive-no-sweep", cliFlags{adaptive: true}, "-adaptive applies to -sweep only"},
 		{"adaptive-with-arch", cliFlags{arch: "monte", adaptive: true}, "-adaptive applies to -sweep only"},
@@ -44,6 +51,10 @@ func TestConflictError(t *testing.T) {
 		{"sweep-workers", cliFlags{sweep: true, workers: 3}, ""},
 		{"sweep-adaptive-full", cliFlags{sweep: true, adaptive: true, jsonOut: true, pareto: true, stats: true, cacheDir: ".dse"}, ""},
 		{"arch-run", cliFlags{arch: "monte", workload: "ecdh", stats: true}, ""},
+		{"arch-relevant-axes", cliFlags{arch: "monte", axisFlags: []string{"width", "no-double-buffer", "gate-accel-idle"}}, ""},
+		// A value-level collapse is not an arch-level one: -prefetch is
+		// moot under -ideal-cache, but both apply to a cached architecture.
+		{"arch-value-collapse", cliFlags{arch: "isa-ext+icache", axisFlags: []string{"prefetch", "ideal-cache"}}, ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

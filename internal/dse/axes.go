@@ -875,6 +875,19 @@ func RelevantAxes(a sim.Arch) []string {
 	return out
 }
 
+// RelevantAxisFlags is RelevantAxes by CLI flag name: the option flags
+// that can change a result on architecture a. A CLI rejects any other
+// option flag on a single-configuration run rather than drop it.
+func RelevantAxisFlags(a sim.Arch) []string {
+	var out []string
+	for _, i := range optIdx {
+		if ax := axes[i]; ax.archRelevant == nil || ax.archRelevant(a) {
+			out = append(out, ax.Flag.Name)
+		}
+	}
+	return out
+}
+
 // AxisFlagNames lists the CLI flag names RegisterAxisFlags generates
 // (option axes only), in registry order — for CLIs that need to tell
 // axis flags apart from their own (e.g. to reject an option flag in a

@@ -133,7 +133,9 @@ type familyOps[K any] struct {
 
 func primeOps(c *ec.PrimeCurve) familyOps[*ecdsa.PrivateKey] {
 	return familyOps[*ecdsa.PrivateKey]{
-		keyGen: func(seed []byte) (*ecdsa.PrivateKey, ecdsa.OpProfile) { return ecdsa.ProfileKeyGen(c, seed) },
+		keyGen: func(seed []byte) (*ecdsa.PrivateKey, ecdsa.OpProfile) {
+			return ecdsa.ProfileKeyGen(c, seed)
+		},
 		ecdh: func(priv, peer *ecdsa.PrivateKey) ([]byte, ecdsa.OpProfile, error) {
 			return ecdsa.ECDHProfile(priv, peer.Q)
 		},
@@ -210,7 +212,7 @@ func profileWorkload[K any](curve string, ops familyOps[K], phases []string) ([]
 				return out, err
 			}
 		case PhaseVerify:
-			if !keyed || sig == nil {
+			if sig == nil {
 				return out, fmt.Errorf("sim: phase list %q verifies before signing", phases)
 			}
 			var ok bool

@@ -262,6 +262,10 @@ func AxesHelp() string { return dse.AxesHelp() }
 // (option axes only), in registry order.
 func AxisFlagNames() []string { return dse.AxisFlagNames() }
 
+// RelevantAxisFlags lists the option flags that can change a result on
+// architecture a (the dse registry's arch-level relevance).
+func RelevantAxisFlags(a Architecture) []string { return dse.RelevantAxisFlags(a) }
+
 // Design-space exploration types, re-exported from internal/dse.
 type (
 	// SweepSpec declares a region of the design space as sets per axis;
