@@ -36,7 +36,9 @@
 // -width, -digit, -gate-accel-idle, -line, -workload) from its option
 // axes; -list prints the registry alongside the experiment identifiers.
 // A knob that cannot change the chosen architecture's result (say -digit
-// with -arch monte) is an error, as is any knob outside an -arch run.
+// with -arch monte) is an error, as is any knob outside an -arch run and
+// a knob value outside its modeled domain (-digit 0 fails as it would on
+// a sweep axis instead of pricing the default digit).
 package main
 
 import (
@@ -106,6 +108,10 @@ func main() {
 		traceFile: *traceFile, cacheDir: *cacheDir,
 		axisFlags: axisFlags,
 	}); msg != "" {
+		fmt.Fprintln(os.Stderr, msg)
+		os.Exit(1)
+	}
+	if msg := axisValueError(flag.CommandLine); msg != "" {
 		fmt.Fprintln(os.Stderr, msg)
 		os.Exit(1)
 	}
@@ -250,6 +256,21 @@ func conflictError(c cliFlags) string {
 		}
 	}
 	return ""
+}
+
+// axisValueError returns the message dse prints (exiting 1) for a set
+// axis flag whose value lies outside its modeled domain, or "". The
+// registry's check runs here because sim.Run fills a zero knob with its
+// default before it validates: -digit 0 would otherwise print the
+// default configuration. (-line 0 is the default line, so it passes.)
+func axisValueError(fs *flag.FlagSet) string {
+	var msg string
+	fs.Visit(func(f *flag.Flag) {
+		if err := repro.CheckAxisFlag(f); err != nil && msg == "" {
+			msg = err.Error()
+		}
+	})
+	return msg
 }
 
 // openJournal opens (or creates) a run-journal file in append mode so

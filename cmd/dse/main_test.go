@@ -1,6 +1,8 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"slices"
 	"strings"
 	"testing"
@@ -69,6 +71,50 @@ func TestConflictError(t *testing.T) {
 				t.Fatalf("conflictError(%+v) = %q, want message naming %q", c.in, got, c.want)
 			}
 		})
+	}
+}
+
+// TestAxisValueError pins the domain check of set axis flags: a zero
+// int knob is rejected with the message a sweep gives the same value,
+// not filled with its default by sim.Run, while -line 0 (the default
+// line) and in-domain values pass.
+func TestAxisValueError(t *testing.T) {
+	check := func(args ...string) string {
+		fs := flag.NewFlagSet("dse", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		repro.RegisterDimensionFlags(fs)
+		repro.RegisterAxisFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return axisValueError(fs)
+	}
+	rejected := []struct {
+		args []string
+		spec repro.SweepSpec // the same value on the sweep path
+	}{
+		{[]string{"-arch", "billie", "-curve", "B-163", "-digit", "0"}, repro.SweepSpec{BillieDigits: []int{0}}},
+		{[]string{"-arch", "monte", "-curve", "P-256", "-width", "0"}, repro.SweepSpec{MonteWidths: []int{0}}},
+		{[]string{"-arch", "isa-ext+icache", "-curve", "P-256", "-cache", "0"}, repro.SweepSpec{CacheBytes: []int{0}}},
+	}
+	for _, c := range rejected {
+		err := c.spec.Validate()
+		if err == nil {
+			t.Fatalf("SweepSpec%+v.Validate() accepted a zero knob", c.spec)
+		}
+		if got := check(c.args...); got != err.Error() {
+			t.Errorf("%v: axisValueError = %q, want the sweep's %q", c.args, got, err)
+		}
+	}
+	for _, args := range [][]string{
+		{"-arch", "isa-ext+icache", "-curve", "P-256", "-line", "0"},
+		{"-arch", "isa-ext+icache", "-curve", "P-256", "-line", "32", "-cache", "1024"},
+		{"-arch", "monte", "-curve", "P-256", "-width", "16"},
+		{"-arch", "billie", "-curve", "B-163"},
+	} {
+		if got := check(args...); got != "" {
+			t.Errorf("%v: axisValueError = %q, want accepted", args, got)
+		}
 	}
 }
 

@@ -79,6 +79,11 @@ func printStats(w io.Writer, reg *repro.Metrics, total time.Duration) {
 			total.Seconds(), expand.SumS, s.Histograms["store.fingerprint"].SumS,
 			s.Histograms["store.load"].SumS, s.Counters["store.load.bytes"],
 			s.Histograms["store.flush"].SumS, s.Counters["store.flush.bytes"])
+		// The census passes profiled before pricing, one per curve of the
+		// uncached configurations, so simulated points below only price.
+		if h := s.Histograms["sweep.warm"]; h.Count > 0 {
+			fmt.Fprintf(w, "  census warm-up %.3fs (one profile pass per uncached curve)\n", h.SumS)
+		}
 		if h := s.Histograms["sweep.point.simulate"]; h.Count > 0 {
 			fmt.Fprintf(w, "  simulated points: %d (p50 %.1fms, p95 %.1fms, max %.1fms)\n",
 				h.Count, h.P50S*1e3, h.P95S*1e3, h.MaxS*1e3)

@@ -888,6 +888,26 @@ func RelevantAxisFlags(a sim.Arch) []string {
 	return out
 }
 
+// CheckAxisFlag runs a set int option flag's value through its axis's
+// domain check, the one SweepSpec.Validate runs, with the same message:
+// sim.Run reads a zero knob as "use the default", so an unchecked
+// -digit 0 would silently price the default digit. Any other flag
+// passes.
+func CheckAxisFlag(f *flag.Flag) error {
+	for _, i := range optIdx {
+		ax := axes[i]
+		if ax.Flag.Name != f.Name || ax.Flag.Kind != FlagInt || ax.check == nil {
+			continue
+		}
+		v, _ := f.Value.(flag.Getter).Get().(int)
+		if err := ax.check(intVal(v)); err != nil {
+			return fmt.Errorf("dse: %w", err)
+		}
+		return nil
+	}
+	return nil
+}
+
 // AxisFlagNames lists the CLI flag names RegisterAxisFlags generates
 // (option axes only), in registry order — for CLIs that need to tell
 // axis flags apart from their own (e.g. to reject an option flag in a

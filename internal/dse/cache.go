@@ -49,6 +49,19 @@ func (c *Cache) Len() int {
 	return len(c.m)
 }
 
+// lookup returns the successful cached result for a canonical config
+// hash, if any, without touching the hit/miss counters. Error entries
+// do not count: a remembered failure is not a result.
+func (c *Cache) lookup(hash string) (sim.Result, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.m[hash]
+	if !ok || e.err != nil {
+		return sim.Result{}, false
+	}
+	return e.res, true
+}
+
 // Stats returns cumulative hit and miss counts — the cache's whole
 // lifetime, across every sweep that used it. For per-sweep accounting
 // read SweepResult.CacheHits/CacheMisses instead; to scope Stats to one

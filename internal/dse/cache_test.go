@@ -5,6 +5,9 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/ec"
+	"repro/internal/gf2"
+	"repro/internal/mp"
 	"repro/internal/sim"
 )
 
@@ -143,15 +146,51 @@ func TestSweepHammersCensusMemo(t *testing.T) {
 	}
 }
 
-// lookup returns the successful cached result for a canonical config
-// hash, if any, without touching the hit/miss counters. Error entries
-// do not count: a remembered failure is not a result.
-func (c *Cache) lookup(hash string) (sim.Result, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.m[hash]
-	if !ok || e.err != nil {
-		return sim.Result{}, false
+// TestSweepWarmSkipsCachedConfigs checks that a sweep warms only the
+// censuses its result cache will not serve: a second Sweep over a cache
+// holding every configuration profiles nothing, even on a cold census
+// memo, and one that adds a curve profiles only that curve.
+func TestSweepWarmSkipsCachedConfigs(t *testing.T) {
+	sim.ResetCensusMemo()
+	defer sim.ResetCensusMemo()
+
+	spec := SweepSpec{Archs: []sim.Arch{sim.Baseline, sim.ISAExt}, Curves: []string{"P-192", "B-163"}}
+	cache := NewCache()
+	if _, err := Sweep(spec, SweepOptions{Cache: cache, Workers: 2}); err != nil {
+		t.Fatal(err)
 	}
-	return e.res, true
+	sim.ResetCensusMemo()
+	res, err := Sweep(spec, SweepOptions{Cache: cache, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CacheMisses != 0 {
+		t.Fatalf("second sweep missed %d configs, want every one cached", res.CacheMisses)
+	}
+	if _, m := sim.CensusMemoStats(); m != 0 || sim.CensusMemoLen() != 0 {
+		t.Errorf("fully cached sweep profiled %d entries (%d misses), want none", sim.CensusMemoLen(), m)
+	}
+
+	spec.Curves = append(spec.Curves, "P-224")
+	if _, err := Sweep(spec, SweepOptions{Cache: cache, Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, m := sim.CensusMemoStats(); m != 2 || sim.CensusMemoLen() != 2 {
+		t.Errorf("adding P-224 profiled %d entries (%d misses), want its sign and verify only", sim.CensusMemoLen(), m)
+	}
+}
+
+// TestFieldBitsRanksCurves pins the warm-up's cost rank: fieldBits reads
+// every curve's field size off its name, as its arithmetic defines it.
+func TestFieldBitsRanksCurves(t *testing.T) {
+	for _, name := range ec.PrimeCurveNames {
+		if got, want := fieldBits(name), ec.NISTPrimeCurve(name, mp.OSNIST).F.Bits; got != want {
+			t.Errorf("fieldBits(%s) = %d, want %d", name, got, want)
+		}
+	}
+	for _, name := range ec.BinaryCurveNames {
+		if got, want := fieldBits(name), ec.NISTBinaryCurve(name, gf2.Comb).F.M; got != want {
+			t.Errorf("fieldBits(%s) = %d, want %d", name, got, want)
+		}
+	}
 }

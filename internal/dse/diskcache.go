@@ -55,7 +55,9 @@ type diskHeader struct {
 // every non-default workload — keygen, ecdh, handshake — on both curve
 // families): any model or
 // calibration change that alters results anywhere changes the
-// fingerprint and invalidates on-disk caches. Computed once per process.
+// fingerprint and invalidates on-disk caches. Computed once per process;
+// the first call warms the probes' censuses on a pool of the given width
+// (0 = GOMAXPROCS) before running them.
 //
 // The probe set is load-bearing: adding a probe changes the fingerprint
 // and discards every existing store, so new axes must NOT add probes
@@ -63,7 +65,17 @@ type diskHeader struct {
 // line-size axis rides the cache probes this way). A change to a
 // non-default-only model path (e.g. recalibrating lineMissScale) is
 // invisible to these probes and needs a diskFormatVersion bump instead.
-var modelFingerprint = sync.OnceValue(func() string {
+func modelFingerprint(workers int) string {
+	fingerprint.once.Do(func() { fingerprint.sum = fingerprintProbes(workers) })
+	return fingerprint.sum
+}
+
+var fingerprint struct {
+	once sync.Once
+	sum  string
+}
+
+func fingerprintProbes(workers int) string {
 	probes := []struct {
 		arch  sim.Arch
 		curve string
@@ -83,26 +95,32 @@ var modelFingerprint = sync.OnceValue(func() string {
 		{sim.ISAExt, "P-384", func(o *sim.Options) { o.Workload = sim.WorkloadECDH }},
 		{sim.WithBillie, "B-283", func(o *sim.Options) { o.Workload = sim.WorkloadHandshake }},
 	}
+	cfgs := make([]Config, len(probes))
+	for i, p := range probes {
+		o := sim.DefaultOptions()
+		p.opt(&o)
+		cfgs[i] = Config{Arch: p.arch, Curve: p.curve, Opt: o}
+	}
+	warmCensuses(cfgs, workers)
+
 	h := sha256.New()
 	fmt.Fprintf(h, "keyfmt:%s;", Config{Arch: sim.WithMonte, Curve: "P-192"}.Key())
 	fmt.Fprintf(h, "keyfmt-wl:%s;", Config{Arch: sim.WithMonte, Curve: "P-192",
 		Opt: sim.Options{Workload: sim.WorkloadHandshake}}.Key())
-	for _, p := range probes {
-		o := sim.DefaultOptions()
-		p.opt(&o)
-		r, err := sim.Run(p.arch, p.curve, o)
+	for _, c := range cfgs {
+		r, err := sim.Run(c.Arch, c.Curve, c.Opt)
 		if err != nil {
 			fmt.Fprintf(h, "err:%v;", err)
 			continue
 		}
-		fmt.Fprintf(h, "%s|%s|%s:", p.arch, p.curve, r.Workload)
+		fmt.Fprintf(h, "%s|%s|%s:", c.Arch, c.Curve, r.Workload)
 		for _, ph := range r.Phases {
 			fmt.Fprintf(h, "%s=%d,", ph.Name, ph.Cycles)
 		}
 		fmt.Fprintf(h, "%.17g,%.17g;", r.TotalEnergy(), r.Power.StaticW)
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
-})
+}
 
 type diskEntry struct {
 	Hash string `json:"hash"`
@@ -165,7 +183,7 @@ func (c *Cache) LoadFile(path string) (int, error) {
 	var hdr diskHeader
 	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil ||
 		hdr.Format != diskFormatName || hdr.Version != diskFormatVersion ||
-		hdr.Model != modelFingerprint() {
+		hdr.Model != modelFingerprint(0) {
 		return 0, nil // foreign format, stale schema, or stale model: start fresh
 	}
 
@@ -229,7 +247,7 @@ func (c *Cache) SaveFile(path string) (int, error) {
 
 	w := bufio.NewWriter(tmp)
 	enc := json.NewEncoder(w) // Encode appends the newline delimiter
-	if err := enc.Encode(diskHeader{Format: diskFormatName, Version: diskFormatVersion, Model: modelFingerprint()}); err != nil {
+	if err := enc.Encode(diskHeader{Format: diskFormatName, Version: diskFormatVersion, Model: modelFingerprint(0)}); err != nil {
 		tmp.Close()
 		return 0, fmt.Errorf("dse: write result cache: %w", err)
 	}

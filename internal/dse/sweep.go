@@ -1,12 +1,18 @@
 package dse
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"os"
 	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -24,10 +30,10 @@ type SweepOptions struct {
 	// restarts.
 	CacheDir string
 	// Metrics, when non-nil, records sweep telemetry into the registry:
-	// per-point simulate-vs-cached durations, expansion, and store
-	// fingerprint/load/flush timing. Telemetry is carried out-of-band:
-	// results, keys, hashes and store bytes are identical with and
-	// without it.
+	// per-point simulate-vs-cached durations, expansion, census warm-up,
+	// and store fingerprint/load/flush timing. Telemetry is carried
+	// out-of-band: results, keys, hashes and store bytes are identical
+	// with and without it.
 	Metrics *telemetry.Registry
 	// Journal, when non-nil, receives one JSONL lifecycle event per
 	// sweep stage: sweep_start, store_load, one point event per
@@ -154,10 +160,10 @@ func (r *sweepRun) poolWidth(n int) int {
 }
 
 // price evaluates one batch of expanded configurations on the worker
-// pool: store load, cached-or-simulated pricing, the batch's journal
-// point events in input order, and store flush. It returns the batch's
-// points in input order, or the first failure. Journal point events
-// number the batch's own points.
+// pool: store load, census warm-up, cached-or-simulated pricing, the
+// batch's journal point events in input order, and store flush. It
+// returns the batch's points in input order, or the first failure.
+// Journal point events number the batch's own points.
 func (r *sweepRun) price(cfgs []Config) ([]Point, error) {
 	opt := r.opt
 	workers := r.poolWidth(len(cfgs))
@@ -167,10 +173,11 @@ func (r *sweepRun) price(cfgs []Config) ([]Point, error) {
 		m.Gauge("sweep.configs").Set(int64(r.configs))
 		m.Gauge("sweep.workers").Set(int64(workers))
 	}
-	loaded, err := r.load()
+	loaded, err := r.load(workers)
 	if err != nil {
 		return nil, err
 	}
+	r.warm(cfgs, workers)
 
 	points := make([]Point, len(cfgs))
 	errs := make([]error, len(cfgs))
@@ -253,9 +260,74 @@ func (r *sweepRun) price(cfgs []Config) ([]Point, error) {
 	return points, nil
 }
 
+// warm profiles the censuses the batch's uncached configurations will
+// price, before any of them is priced, and observes it as the
+// sweep.warm stage. Configurations the result cache holds (from the
+// store, say) price no census, so they warm nothing.
+func (r *sweepRun) warm(cfgs []Config, workers int) {
+	start := time.Now()
+	var uncached []Config
+	for _, cfg := range cfgs {
+		if _, ok := r.cache.lookup(cfg.Hash()); !ok {
+			uncached = append(uncached, cfg)
+		}
+	}
+	warmCensuses(uncached, workers)
+	if m := r.opt.Metrics; m != nil {
+		m.Histogram("sweep.warm").Observe(time.Since(start))
+	}
+}
+
+// warmCensuses profiles every census the configurations price that the
+// census memo lacks: one pass per curve over the union of its
+// configurations' workloads, so each curve generates its key once, on a
+// pool of the given width (0 = GOMAXPROCS). The passes start widest
+// field first: the longest one started last would run alone while the
+// other workers idle. A failed pass is left to the Run that serves it,
+// which reports it with its configuration named.
+func warmCensuses(cfgs []Config, workers int) {
+	workloads := make(map[string][]string)
+	for _, cfg := range cfgs {
+		wl := sim.CanonicalWorkload(cfg.Opt.Workload)
+		if !slices.Contains(workloads[cfg.Curve], wl) {
+			workloads[cfg.Curve] = append(workloads[cfg.Curve], wl)
+		}
+	}
+	curves := slices.SortedFunc(maps.Keys(workloads), func(a, b string) int {
+		return cmp.Compare(fieldBits(b), fieldBits(a))
+	})
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	jobs := make(chan string)
+	var wg sync.WaitGroup
+	for range min(workers, len(curves)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for curve := range jobs {
+				_ = sim.WarmCensus(curve, workloads[curve])
+			}
+		}()
+	}
+	for _, curve := range curves {
+		jobs <- curve
+	}
+	close(jobs)
+	wg.Wait()
+}
+
+// fieldBits returns the field size a NIST curve's name carries ("B-571"
+// is over GF(2^571)), the rank of its census pass's cost.
+func fieldBits(curve string) int {
+	n, _ := strconv.Atoi(curve[strings.IndexByte(curve, '-')+1:])
+	return n
+}
+
 // load merges the persistent store into the cache before a batch and
-// returns how many entries it added.
-func (r *sweepRun) load() (int, error) {
+// returns how many entries it added. The model fingerprint warms its
+// probes' censuses on the batch's pool width.
+func (r *sweepRun) load(workers int) (int, error) {
 	if r.opt.CacheDir == "" {
 		return 0, nil
 	}
@@ -265,7 +337,7 @@ func (r *sweepRun) load() (int, error) {
 	// gives that cost its own stage instead of hiding it in the load
 	// (or, for a new store, in the flush).
 	start := time.Now()
-	modelFingerprint()
+	modelFingerprint(workers)
 	d := time.Since(start)
 	if m != nil {
 		m.Histogram("store.fingerprint").Observe(d)

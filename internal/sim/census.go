@@ -30,6 +30,14 @@ import (
 // x phases (40), regardless of grid size — and a handshake reuses the
 // keygen, ecdh, sign and verify entries other workloads already paid for.
 //
+// A sweep does not wait for its Runs to miss: before pricing a batch it
+// warms it up front (WarmCensus), one profile pass per curve over every
+// phase the batch's uncached configurations price, spread over its
+// worker pool widest field first. A warm-up counts nothing; each entry it
+// profiled counts as a miss when a Run first serves it, so hits + misses
+// still equals the phase lookups Run made and misses the entries
+// profiled, exactly as for a lazily profiled sweep.
+//
 // Profiling runs on the fastest functional field implementation of each
 // family, censusPrimeAlg and censusBinaryAlg. One sign-verify profile,
 // best of fifteen on a 2-vCPU Xeon host with the allocation-free field
@@ -91,6 +99,9 @@ type censusEntry struct {
 	census opCensus
 	curveParams
 	err error
+	// uncounted marks an entry a warm-up profiled: the first lookup that
+	// serves it counts it as a miss.
+	uncounted bool
 }
 
 // censusCache is the race-safe memo. Concurrent misses on the same entry
@@ -138,6 +149,7 @@ func ResetCensusMemo() {
 // CensusMemoStats returns the memo's cumulative hit and miss counts
 // since process start (or the last ResetCensusMemo): a miss is one
 // profiled (curve, phase) entry, a hit one phase served from the memo.
+// An entry WarmCensus profiled counts as its miss when first served.
 // The same counts stream into an installed metrics registry as
 // sim.census.hits / sim.census.misses.
 func CensusMemoStats() (hits, misses uint64) {
@@ -159,15 +171,45 @@ var (
 	profiledWith = map[string]string{PhaseSign: PhaseVerify, PhaseVerify: PhaseSign}
 )
 
-// get returns the censuses of the named phases on curve, profiling every
-// missing entry in one pass and each entry at most once. A profile error
-// is remembered and re-served; matching dse.Cache's error-entry
-// semantics, serving a remembered error does not count as a hit (the
-// original failed profile still counted as the miss).
-func (c *censusCache) get(curve string, phases []string, profile profileFunc) (censusProfile, error) {
-	if censusMemoOff.Load() {
-		return profile(curve, phases)
+// WarmCensus profiles, in one pass, every census the named workloads
+// price on curve that the memo neither holds nor is already profiling,
+// so a sweep can spread its curves over its worker pool before pricing
+// anything. It moves no counter: a warmed entry counts as the miss that
+// profiled it when a Run first serves it. A no-op while the memo is
+// disabled.
+func WarmCensus(curve string, workloads []string) error {
+	if !ec.KnownCurve(curve) {
+		return fmt.Errorf("sim: unknown curve %q", curve)
 	}
+	return censuses.warm(curve, workloads, profileCurve)
+}
+
+func (c *censusCache) warm(curve string, workloads []string, profile profileFunc) error {
+	var phases []string
+	for _, name := range workloads {
+		wl, ok := workloadByName(name)
+		if !ok {
+			return fmt.Errorf("sim: %w", CheckWorkload(name))
+		}
+		for _, ph := range wl.phases {
+			if !slices.Contains(phases, ph) {
+				phases = append(phases, ph)
+			}
+		}
+	}
+	if censusMemoOff.Load() {
+		return nil
+	}
+	_, _, err := c.fill(curve, phases, profile, true)
+	return err
+}
+
+// fill profiles, in one pass, every entry the phases need that is
+// neither memoized nor in flight, and returns the phases it claimed and
+// the passes of other callers still profiling the rest. A lookup's own
+// pass counts its misses up front; a warm-up's entries are published
+// uncounted.
+func (c *censusCache) fill(curve string, phases []string, profile profileFunc, warm bool) ([]string, []*sync.WaitGroup, error) {
 	var claimed []string
 	var waits []*sync.WaitGroup
 	var wg *sync.WaitGroup
@@ -192,39 +234,66 @@ func (c *censusCache) get(curve string, phases []string, profile profileFunc) (c
 		claimed = append(claimed, ph)
 	}
 	c.mu.Unlock()
-
-	reg := metrics()
-	if wg != nil {
-		c.misses.Add(uint64(len(claimed)))
-		if reg != nil {
-			reg.Counter("sim.census.misses").Add(int64(len(claimed)))
-		}
-		prof, err := profile(curve, claimed)
-		c.mu.Lock()
-		for i, ph := range claimed {
-			e := censusEntry{curveParams: prof.curveParams, err: err}
-			if i < len(prof.phases) {
-				e = censusEntry{census: prof.phases[i].census, curveParams: prof.curveParams}
-			}
-			c.m[censusKey{curve, ph}] = e
-			delete(c.inflight, censusKey{curve, ph})
-		}
-		c.mu.Unlock()
-		wg.Done()
+	if wg == nil {
+		return nil, waits, nil
 	}
+
+	if !warm {
+		c.countMisses(len(claimed))
+	}
+	prof, err := profile(curve, claimed)
+	c.mu.Lock()
+	for i, ph := range claimed {
+		e := censusEntry{curveParams: prof.curveParams, err: err, uncounted: warm}
+		if i < len(prof.phases) {
+			e.census, e.err = prof.phases[i].census, nil
+		}
+		c.m[censusKey{curve, ph}] = e
+		delete(c.inflight, censusKey{curve, ph})
+	}
+	c.mu.Unlock()
+	wg.Done()
+	return claimed, waits, err
+}
+
+func (c *censusCache) countMisses(n int) {
+	c.misses.Add(uint64(n))
+	if reg := metrics(); reg != nil {
+		reg.Counter("sim.census.misses").Add(int64(n))
+	}
+}
+
+// get returns the censuses of the named phases on curve, profiling every
+// missing entry in one pass and each entry at most once. A profile error
+// is remembered and re-served; matching dse.Cache's error-entry
+// semantics, serving a remembered error does not count as a hit (the
+// original failed profile still counted as the miss).
+func (c *censusCache) get(curve string, phases []string, profile profileFunc) (censusProfile, error) {
+	if censusMemoOff.Load() {
+		return profile(curve, phases)
+	}
+	claimed, waits, _ := c.fill(curve, phases, profile, false)
 	for _, w := range waits {
 		w.Wait() // its profiler has published
 	}
 
 	out := censusProfile{phases: make([]profiledPhase, len(phases))}
-	var hits int64
+	var hits, misses int
 	var err error
 	c.mu.Lock()
 	for i, ph := range phases {
-		e, ok := c.m[censusKey{curve, ph}]
-		if !ok {
+		key := censusKey{curve, ph}
+		e, ok := c.m[key]
+		switch {
+		case !ok:
 			// Only a phase missing from profileOrder is never claimed.
 			e.err = fmt.Errorf("sim: phase %q has no profile order", ph)
+		case e.uncounted:
+			e.uncounted = false
+			c.m[key] = e
+			misses++
+		case e.err == nil && !slices.Contains(claimed, ph):
+			hits++
 		}
 		if e.err != nil {
 			if err == nil {
@@ -234,14 +303,14 @@ func (c *censusCache) get(curve string, phases []string, profile profileFunc) (c
 		}
 		out.phases[i] = profiledPhase{name: ph, census: e.census}
 		out.curveParams = e.curveParams
-		if !slices.Contains(claimed, ph) {
-			hits++
-		}
 	}
 	c.mu.Unlock()
+	if misses > 0 {
+		c.countMisses(misses)
+	}
 	c.hits.Add(uint64(hits))
-	if reg != nil && hits > 0 {
-		reg.Counter("sim.census.hits").Add(hits)
+	if reg := metrics(); reg != nil && hits > 0 {
+		reg.Counter("sim.census.hits").Add(int64(hits))
 	}
 	return out, err
 }

@@ -356,6 +356,81 @@ func TestCensusMemoRacingWorkloads(t *testing.T) {
 	}
 }
 
+// TestCensusMemoWarmUp pins the warm-up contract a sweep relies on:
+// warming every workload of a curve is one profile pass over all four
+// phases, a second warm-up profiles nothing, a disabled memo warms
+// nothing, and warm-up moves no counter, so after the Runs that serve
+// the warmed entries hits + misses equals their phase lookups and
+// misses equals the entries profiled, as if the Runs had missed.
+func TestCensusMemoWarmUp(t *testing.T) {
+	ResetCensusMemo()
+	defer ResetCensusMemo()
+	reg := telemetry.New()
+	SetMetrics(reg)
+	defer SetMetrics(nil)
+
+	var passes [][]string
+	counting := func(curve string, phases []string) (censusProfile, error) {
+		passes = append(passes, phases)
+		return profileCurve(curve, phases)
+	}
+	all := Workloads()
+	for range 2 {
+		if err := censuses.warm("P-192", all, counting); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := [][]string{profileOrder}; !reflect.DeepEqual(passes, want) {
+		t.Fatalf("two warm-ups of every workload profiled %v, want the single pass %v", passes, want)
+	}
+	if h, m := CensusMemoStats(); h != 0 || m != 0 {
+		t.Errorf("warm-up moved the counters: %d hits / %d misses", h, m)
+	}
+
+	lookups := 0
+	for _, wl := range all {
+		for range 2 {
+			res, err := Run(Baseline, "P-192", Options{Workload: wl})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lookups += len(res.Phases)
+		}
+	}
+	h, m := CensusMemoStats()
+	if n := CensusMemoLen(); m != uint64(n) || h+m != uint64(lookups) {
+		t.Errorf("counters = %d hits / %d misses over %d lookups and %d entries; want misses = entries and hits + misses = lookups",
+			h, m, lookups, n)
+	}
+	s := reg.Snapshot()
+	if s.Counters["sim.census.hits"] != int64(h) || s.Counters["sim.census.misses"] != int64(m) {
+		t.Errorf("registry counts %d hits / %d misses, memo %d / %d",
+			s.Counters["sim.census.hits"], s.Counters["sim.census.misses"], h, m)
+	}
+	for _, ph := range profileOrder {
+		if got := s.Histograms["sim.profile."+ph].Count; got != 1 {
+			t.Errorf("%s profiled %d times, want once, by the warm-up", ph, got)
+		}
+	}
+
+	ResetCensusMemo()
+	DisableCensusMemo(true)
+	defer DisableCensusMemo(false)
+	passes = nil
+	if err := censuses.warm("P-192", all, counting); err != nil {
+		t.Fatal(err)
+	}
+	if len(passes) != 0 || CensusMemoLen() != 0 {
+		t.Errorf("warm-up with the memo off profiled %v and left %d entries, want nothing", passes, CensusMemoLen())
+	}
+
+	for _, c := range []struct{ curve, workload string }{{"X-1", WorkloadKeyGen}, {"P-192", "tls13"}} {
+		if err := WarmCensus(c.curve, []string{c.workload}); err == nil {
+			t.Errorf("WarmCensus(%s, %s) succeeded, want an error", c.curve, c.workload)
+		}
+	}
+}
+
 // raceEnabled is set by race_test.go in -race builds.
 var raceEnabled bool
 

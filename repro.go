@@ -258,6 +258,10 @@ func ParseCurveName(s string) (string, error) { return dse.ParseCurve(s) }
 // knobs — with its CLI flag, description and value domain.
 func AxesHelp() string { return dse.AxesHelp() }
 
+// CheckAxisFlag checks a set int axis flag's value against its axis's
+// modeled domain, with the message a sweep gives the same value.
+func CheckAxisFlag(f *flag.Flag) error { return dse.CheckAxisFlag(f) }
+
 // AxisFlagNames lists the CLI flag names RegisterAxisFlags generates
 // (option axes only), in registry order.
 func AxisFlagNames() []string { return dse.AxisFlagNames() }
