@@ -21,6 +21,7 @@
 //	                                     # frontiers without pricing the whole grid
 //	dse -sweep -stats                    # where the time went: census vs pricing,
 //	                                     # sweep stages, counters
+//	dse -all -stats                      # the same for every table and figure
 //	dse -sweep -trace run.jsonl          # append a JSONL journal of the run's stages
 //
 // With -cache-dir a sweep persists every priced configuration in one
@@ -67,7 +68,7 @@ func main() {
 
 		adaptive = flag.Bool("adaptive", false, "with -sweep: adaptive Pareto-guided exploration — refine around the live per-security-level frontiers instead of pricing the whole grid")
 
-		stats     = flag.Bool("stats", false, "after a -sweep or -arch run: print collected telemetry (per-phase census-vs-pricing split, sweep stage timing, cache counters)")
+		stats     = flag.Bool("stats", false, "after a -sweep, -arch or -all run: print collected telemetry (per-phase census-vs-pricing split, sweep stage timing, cache counters)")
 		traceFile = flag.String("trace", "", "with -sweep: append one JSON event per run stage (sweep start/point/load/flush/end, adaptive rounds) to this file")
 	)
 	// Every design-space flag is generated from the dse axis registry:
@@ -134,12 +135,21 @@ func main() {
 			os.Exit(1)
 		}
 	case *all:
+		var reg *repro.Metrics
+		if *stats {
+			reg = repro.NewMetrics()
+			repro.EnableSimMetrics(reg)
+		}
 		out, err := repro.Experiments()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		fmt.Print(out)
+		if reg != nil {
+			fmt.Println()
+			printStats(os.Stdout, reg, 0)
+		}
 	case *exp != "":
 		out, err := repro.Experiment(*exp)
 		if err != nil {
@@ -238,8 +248,8 @@ func conflictError(c cliFlags) string {
 		switch {
 		case c.jsonOut || c.pareto || c.workers != 0:
 			return "-json, -pareto and -workers apply to -sweep only"
-		case c.stats && c.arch == "":
-			return "-stats applies to -sweep and -arch runs only"
+		case c.stats && c.arch == "" && !c.all:
+			return "-stats applies to -sweep, -arch and -all runs only"
 		case c.traceFile != "":
 			return "-trace applies to -sweep only"
 		case c.cacheDir != "":

@@ -29,7 +29,8 @@ func TestConflictError(t *testing.T) {
 		{"axis-flag+sweep", cliFlags{sweep: true, axisFlags: []string{"cache"}}, "-cache applies to -arch runs only"},
 		{"curves-no-sweep", cliFlags{arch: "monte", curves: "P-192"}, "-curves applies to -sweep only"},
 		{"json-no-sweep", cliFlags{arch: "monte", jsonOut: true}, "apply to -sweep only"},
-		{"stats-alone", cliFlags{stats: true}, "-stats applies to -sweep and -arch runs only"},
+		{"stats-alone", cliFlags{stats: true}, "-stats applies to -sweep, -arch and -all runs only"},
+		{"stats-exp", cliFlags{exp: "fig7.1", stats: true}, "-stats applies to -sweep, -arch and -all runs only"},
 		{"trace-alone", cliFlags{traceFile: "t.jsonl"}, "-trace applies to -sweep only"},
 		{"cache-dir-alone", cliFlags{cacheDir: ".dse"}, "-cache-dir applies to -sweep only"},
 
@@ -53,6 +54,7 @@ func TestConflictError(t *testing.T) {
 		{"sweep-workers", cliFlags{sweep: true, workers: 3}, ""},
 		{"sweep-adaptive-full", cliFlags{sweep: true, adaptive: true, jsonOut: true, pareto: true, stats: true, cacheDir: ".dse"}, ""},
 		{"arch-run", cliFlags{arch: "monte", workload: "ecdh", stats: true}, ""},
+		{"all-stats", cliFlags{all: true, stats: true}, ""},
 		{"arch-relevant-axes", cliFlags{arch: "monte", axisFlags: []string{"width", "no-double-buffer", "gate-accel-idle"}}, ""},
 		// A value-level collapse is not an arch-level one: -prefetch is
 		// moot under -ideal-cache, but both apply to a cached architecture.

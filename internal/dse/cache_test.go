@@ -5,9 +5,6 @@ import (
 	"os"
 	"testing"
 
-	"repro/internal/ec"
-	"repro/internal/gf2"
-	"repro/internal/mp"
 	"repro/internal/sim"
 )
 
@@ -177,20 +174,5 @@ func TestSweepWarmSkipsCachedConfigs(t *testing.T) {
 	}
 	if _, m := sim.CensusMemoStats(); m != 2 || sim.CensusMemoLen() != 2 {
 		t.Errorf("adding P-224 profiled %d entries (%d misses), want its sign and verify only", sim.CensusMemoLen(), m)
-	}
-}
-
-// TestFieldBitsRanksCurves pins the warm-up's cost rank: fieldBits reads
-// every curve's field size off its name, as its arithmetic defines it.
-func TestFieldBitsRanksCurves(t *testing.T) {
-	for _, name := range ec.PrimeCurveNames {
-		if got, want := fieldBits(name), ec.NISTPrimeCurve(name, mp.OSNIST).F.Bits; got != want {
-			t.Errorf("fieldBits(%s) = %d, want %d", name, got, want)
-		}
-	}
-	for _, name := range ec.BinaryCurveNames {
-		if got, want := fieldBits(name), ec.NISTBinaryCurve(name, gf2.Comb).F.M; got != want {
-			t.Errorf("fieldBits(%s) = %d, want %d", name, got, want)
-		}
 	}
 }

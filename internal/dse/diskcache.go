@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -65,6 +66,8 @@ type diskHeader struct {
 // line-size axis rides the cache probes this way). A change to a
 // non-default-only model path (e.g. recalibrating lineMissScale) is
 // invisible to these probes and needs a diskFormatVersion bump instead.
+// The kernel cost table is not left to the probes, which price 22 of
+// its 59 rows: every row is hashed in (hashKernelTable).
 func modelFingerprint(workers int) string {
 	fingerprint.once.Do(func() { fingerprint.sum = fingerprintProbes(workers) })
 	return fingerprint.sum
@@ -107,6 +110,11 @@ func fingerprintProbes(workers int) string {
 	fmt.Fprintf(h, "keyfmt:%s;", Config{Arch: sim.WithMonte, Curve: "P-192"}.Key())
 	fmt.Fprintf(h, "keyfmt-wl:%s;", Config{Arch: sim.WithMonte, Curve: "P-192",
 		Opt: sim.Options{Workload: sim.WorkloadHandshake}}.Key())
+	rows, err := sim.KernelCosts()
+	if err != nil {
+		fmt.Fprintf(h, "err:%v;", err)
+	}
+	hashKernelTable(h, rows)
 	for _, c := range cfgs {
 		r, err := sim.Run(c.Arch, c.Curve, c.Opt)
 		if err != nil {
@@ -120,6 +128,16 @@ func fingerprintProbes(workers int) string {
 		fmt.Fprintf(h, "%.17g,%.17g;", r.TotalEnergy(), r.Power.StaticW)
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// hashKernelTable writes every row of the kernel cost table into the
+// fingerprint, so regenerating any row invalidates every store.
+func hashKernelTable(w io.Writer, rows []sim.KernelCost) {
+	for _, r := range rows {
+		c := r.Cost
+		fmt.Fprintf(w, "kernel:%s/%d=%d,%d,%d,%d,%d;", r.Kernel, r.Words,
+			c.Cycles, c.Insts, c.RAMReads, c.RAMWrites, c.Accel)
+	}
 }
 
 type diskEntry struct {

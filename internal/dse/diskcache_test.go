@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -225,6 +226,36 @@ func TestDiskCacheStaleModelIgnored(t *testing.T) {
 	}
 	if n != 0 || fresh.Len() != 0 {
 		t.Errorf("stale-model store yielded %d entries, want 0", n)
+	}
+}
+
+// TestFingerprintHashesKernelTable checks that the model fingerprint's
+// input covers the whole kernel cost table: perturbing any one field of
+// any row changes it, including the rows no fingerprint probe prices.
+func TestFingerprintHashesKernelTable(t *testing.T) {
+	rows, err := sim.KernelCosts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) == 0 {
+		t.Fatal("empty kernel cost table")
+	}
+	var base bytes.Buffer
+	hashKernelTable(&base, rows)
+	for i, r := range rows {
+		for f, bump := range []func(*sim.PerOp){
+			func(c *sim.PerOp) { c.Cycles++ }, func(c *sim.PerOp) { c.Insts++ },
+			func(c *sim.PerOp) { c.RAMReads++ }, func(c *sim.PerOp) { c.RAMWrites++ },
+			func(c *sim.PerOp) { c.Accel++ },
+		} {
+			perturbed := slices.Clone(rows)
+			bump(&perturbed[i].Cost)
+			var b bytes.Buffer
+			hashKernelTable(&b, perturbed)
+			if bytes.Equal(b.Bytes(), base.Bytes()) {
+				t.Errorf("row %s/%d field %d perturbed: fingerprint input unchanged", r.Kernel, r.Words, f)
+			}
+		}
 	}
 }
 

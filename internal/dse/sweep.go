@@ -1,14 +1,10 @@
 package dse
 
 import (
-	"cmp"
 	"fmt"
-	"maps"
 	"os"
 	"runtime"
 	"slices"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -278,13 +274,9 @@ func (r *sweepRun) warm(cfgs []Config, workers int) {
 	}
 }
 
-// warmCensuses profiles every census the configurations price that the
-// census memo lacks: one pass per curve over the union of its
-// configurations' workloads, so each curve generates its key once, on a
-// pool of the given width (0 = GOMAXPROCS). The passes start widest
-// field first: the longest one started last would run alone while the
-// other workers idle. A failed pass is left to the Run that serves it,
-// which reports it with its configuration named.
+// warmCensuses warms, through sim.WarmCensuses, every census the
+// configurations price: one pass per curve over the union of its
+// configurations' workloads, so each curve generates its key once.
 func warmCensuses(cfgs []Config, workers int) {
 	workloads := make(map[string][]string)
 	for _, cfg := range cfgs {
@@ -293,35 +285,7 @@ func warmCensuses(cfgs []Config, workers int) {
 			workloads[cfg.Curve] = append(workloads[cfg.Curve], wl)
 		}
 	}
-	curves := slices.SortedFunc(maps.Keys(workloads), func(a, b string) int {
-		return cmp.Compare(fieldBits(b), fieldBits(a))
-	})
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	jobs := make(chan string)
-	var wg sync.WaitGroup
-	for range min(workers, len(curves)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for curve := range jobs {
-				_ = sim.WarmCensus(curve, workloads[curve])
-			}
-		}()
-	}
-	for _, curve := range curves {
-		jobs <- curve
-	}
-	close(jobs)
-	wg.Wait()
-}
-
-// fieldBits returns the field size a NIST curve's name carries ("B-571"
-// is over GF(2^571)), the rank of its census pass's cost.
-func fieldBits(curve string) int {
-	n, _ := strconv.Atoi(curve[strings.IndexByte(curve, '-')+1:])
-	return n
+	sim.WarmCensuses(workloads, workers)
 }
 
 // load merges the persistent store into the cache before a batch and

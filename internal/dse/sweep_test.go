@@ -286,3 +286,21 @@ func TestSweepFlushesPartialResultsOnError(t *testing.T) {
 		}
 	}
 }
+
+// TestKernelTableCoversGrids checks that the kernel cost table holds
+// every row the design space prices: every configuration of the full
+// grid and of the four-workload grid runs, none failing on a missing
+// row.
+func TestKernelTableCoversGrids(t *testing.T) {
+	multi := FullSweep()
+	multi.Workloads = sim.Workloads()
+	for _, spec := range []SweepSpec{FullSweep(), multi} {
+		cfgs := spec.Expand()
+		warmCensuses(cfgs, 0)
+		for _, cfg := range cfgs {
+			if _, err := sim.Run(cfg.Arch, cfg.Curve, cfg.Opt); err != nil {
+				t.Errorf("%s: %v", cfg.Key(), err)
+			}
+		}
+	}
+}

@@ -3,6 +3,10 @@ package report
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/dse"
+	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 func TestEveryExperimentRenders(t *testing.T) {
@@ -91,5 +95,58 @@ func TestAllIncludesEverything(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("All() missing %q", want)
 		}
+	}
+}
+
+// TestAllMatchesLazyRender pins the report's census warm-up: from a
+// reset census memo and result cache, All equals the lazily rendered
+// concatenation of every experiment in Names order, profiles the same
+// 28 (curve, phase) censuses, and counts every phase lookup its Runs
+// make as exactly one hit or miss.
+func TestAllMatchesLazyRender(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders every experiment twice from a cold memo")
+	}
+	render := func(all bool) (out string, hits, misses, lookups uint64) {
+		sim.ResetCensusMemo()
+		dse.SharedCache().Reset()
+		reg := telemetry.New()
+		sim.SetMetrics(reg)
+		defer sim.SetMetrics(nil)
+		if all {
+			var err error
+			if out, err = All(); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			var parts []string
+			for _, name := range Names() {
+				part, _, err := ByName(name)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				parts = append(parts, part)
+			}
+			out = strings.Join(parts, "\n")
+		}
+		for name, h := range reg.Snapshot().Histograms {
+			if strings.HasPrefix(name, "sim.price.") {
+				lookups += uint64(h.Count)
+			}
+		}
+		hits, misses = sim.CensusMemoStats()
+		return out, hits, misses, lookups
+	}
+	defer sim.ResetCensusMemo()
+	lazy, lazyHits, lazyMisses, _ := render(false)
+	got, hits, misses, lookups := render(true)
+	if got != lazy {
+		t.Error("All differs from the lazily rendered experiments")
+	}
+	if misses != 28 || hits+misses != lookups {
+		t.Errorf("All counted %d hits / %d misses over %d lookups, want 28 misses and hits + misses = lookups", hits, misses, lookups)
+	}
+	if hits != lazyHits || misses != lazyMisses {
+		t.Errorf("All counted %d hits / %d misses, the lazy render %d / %d", hits, misses, lazyHits, lazyMisses)
 	}
 }

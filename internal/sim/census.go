@@ -1,8 +1,13 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -30,13 +35,16 @@ import (
 // x phases (40), regardless of grid size — and a handshake reuses the
 // keygen, ecdh, sign and verify entries other workloads already paid for.
 //
-// A sweep does not wait for its Runs to miss: before pricing a batch it
-// warms it up front (WarmCensus), one profile pass per curve over every
-// phase the batch's uncached configurations price, spread over its
-// worker pool widest field first. A warm-up counts nothing; each entry it
-// profiled counts as a miss when a Run first serves it, so hits + misses
-// still equals the phase lookups Run made and misses the entries
-// profiled, exactly as for a lazily profiled sweep.
+// Callers do not wait for their Runs to miss: WarmCensuses, the one
+// warm-up scheduler, profiles what they will price up front, one pass
+// per curve over every phase they need (WarmCensus), spread over a
+// worker pool widest field first. A sweep warms each batch's uncached
+// configurations on its pool, the store's model fingerprint its probes,
+// and the report (dse -all) the default workload on every curve. A
+// warm-up counts nothing; each entry it profiled counts as a miss when
+// a Run first serves it, so hits + misses still equals the phase
+// lookups Run made and misses the entries profiled, exactly as for a
+// lazy render or sweep.
 //
 // Profiling runs on the fastest functional field implementation of each
 // family, censusPrimeAlg and censusBinaryAlg. One sign-verify profile,
@@ -182,6 +190,45 @@ func WarmCensus(curve string, workloads []string) error {
 		return fmt.Errorf("sim: unknown curve %q", curve)
 	}
 	return censuses.warm(curve, workloads, profileCurve)
+}
+
+// WarmCensuses is the census warm-up scheduler every up-front warm-up
+// goes through — a sweep batch's, the model fingerprint's probes' and
+// the report's: one WarmCensus pass per curve over its workloads, on a
+// pool of the given width (0 = GOMAXPROCS). The passes start widest
+// field first: the longest one started last would run alone while the
+// other workers idle. A failed pass is left to the Run that serves it,
+// which reports it with its configuration named.
+func WarmCensuses(workloads map[string][]string, workers int) {
+	curves := slices.SortedFunc(maps.Keys(workloads), func(a, b string) int {
+		return cmp.Compare(fieldBits(b), fieldBits(a))
+	})
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	jobs := make(chan string)
+	var wg sync.WaitGroup
+	for range min(workers, len(curves)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for curve := range jobs {
+				_ = WarmCensus(curve, workloads[curve])
+			}
+		}()
+	}
+	for _, curve := range curves {
+		jobs <- curve
+	}
+	close(jobs)
+	wg.Wait()
+}
+
+// fieldBits returns the field size a NIST curve's name carries ("B-571"
+// is over GF(2^571)), the rank of its census pass's cost.
+func fieldBits(curve string) int {
+	n, _ := strconv.Atoi(curve[strings.IndexByte(curve, '-')+1:])
+	return n
 }
 
 func (c *censusCache) warm(curve string, workloads []string, profile profileFunc) error {

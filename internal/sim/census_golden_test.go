@@ -9,10 +9,11 @@ import (
 	"testing"
 )
 
-// update rewrites testdata/census.golden from the current profiler.
+// update rewrites testdata/census.golden from the current profiler and
+// testdata/kernels.golden from the pipeline simulator.
 //
-//	go test ./internal/sim/ -run TestCensusGolden -update
-var update = flag.Bool("update", false, "rewrite testdata/census.golden from current output")
+//	go test ./internal/sim/ -run 'TestCensusGolden|TestKernelGolden' -update
+var update = flag.Bool("update", false, "rewrite testdata/census.golden and testdata/kernels.golden from current output")
 
 // TestCensusGolden pins every (curve, phase) census and its curve
 // parameters, as profileCurve produces them, against a checked-in file.

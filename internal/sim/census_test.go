@@ -431,6 +431,21 @@ func TestCensusMemoWarmUp(t *testing.T) {
 	}
 }
 
+// TestFieldBitsRanksCurves pins the warm-up's cost rank: fieldBits reads
+// every curve's field size off its name, as its arithmetic defines it.
+func TestFieldBitsRanksCurves(t *testing.T) {
+	for _, name := range ec.PrimeCurveNames {
+		if got, want := fieldBits(name), ec.NISTPrimeCurve(name, mp.OSNIST).F.Bits; got != want {
+			t.Errorf("fieldBits(%s) = %d, want %d", name, got, want)
+		}
+	}
+	for _, name := range ec.BinaryCurveNames {
+		if got, want := fieldBits(name), ec.NISTBinaryCurve(name, gf2.Comb).F.M; got != want {
+			t.Errorf("fieldBits(%s) = %d, want %d", name, got, want)
+		}
+	}
+}
+
 // raceEnabled is set by race_test.go in -race builds.
 var raceEnabled bool
 

@@ -1,12 +1,13 @@
 package sim
 
 import (
+	_ "embed"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 
-	"repro/internal/cpu"
 	"repro/internal/kernels"
-	"repro/internal/mem"
 )
 
 // PerOp is the simulated cost of one field operation.
@@ -45,78 +46,115 @@ type FieldCosts struct {
 	Inv PerOp
 }
 
-// kernel measurement cache: (kernel, k) → PerOp.
-var (
-	measureMu    sync.Mutex
-	measureCache = map[string]PerOp{}
-)
+// The kernel cost table: what one call of each hand-written Pete kernel
+// costs at each word count the model prices, as the cycle-accurate
+// pipeline simulator measures it on dense operands. The measurement is
+// deterministic, so it is run once, when the table is regenerated, and
+// every process serves the pinned rows; pricing runs no Pete simulation.
+//
+// testdata/kernels.golden is the one copy of the table, embedded here
+// and parsed on first use. TestKernelGolden is its drift check: it
+// re-runs the pipeline simulator for every row the model prices and
+// fails on any difference, so a kernel, assembler or core-model change
+// must regenerate the file with -update (and show its diff) to land.
+// A row the table lacks is an error naming it, never a silent zero.
+//
+//go:embed testdata/kernels.golden
+var kernelsGolden string
 
-const (
-	mresAddr = mem.RAMBase + 0x000
-	maAddr   = mem.RAMBase + 0x400
-	mbAddr   = mem.RAMBase + 0x800
-	mpAddr   = mem.RAMBase + 0xc00
-)
+// KernelCost is one row of the kernel cost table: a kernel, by name, at
+// a word count.
+type KernelCost struct {
+	Kernel string
+	Words  int
+	Cost   PerOp
+}
 
-// measureKernel runs a kernel once on the pipeline simulator with
-// representative worst-case-ish operands and returns its cost.
-func measureKernel(k *kernels.Kernel, kWords int, extraArg bool) PerOp {
-	key := fmt.Sprintf("%s/%d", k.Name, kWords)
-	measureMu.Lock()
-	defer measureMu.Unlock()
-	if c, ok := measureCache[key]; ok {
-		return c
-	}
-	r := kernels.NewRunner()
-	a := make([]uint32, kWords)
-	b := make([]uint32, kWords)
-	// Dense operands: every bit pattern non-trivial so data-dependent
-	// paths (window hits in the comb) run at realistic density.
-	s := uint32(0x9e3779b9)
-	for i := range a {
-		a[i] = s ^ uint32(i*0x85ebca6b)
-		b[i] = s + uint32(i*0xc2b2ae35) | 1
-		s = s*1664525 + 1013904223
-	}
-	r.StoreWords(maAddr, a)
-	r.StoreWords(mbAddr, b)
-	// Boot-time square table for the hot table-squaring kernel.
-	tbl := make([]uint32, 128)
-	for u := 0; u < 256; u++ {
-		var sq uint32
-		for bit := 0; bit < 8; bit++ {
-			if u&(1<<bit) != 0 {
-				sq |= 1 << (2 * bit)
-			}
+type kernelKey struct {
+	kernel string
+	words  int
+}
+
+type kernelTable struct {
+	rows  []KernelCost
+	index map[kernelKey]PerOp
+}
+
+var pinnedKernels = sync.OnceValues(func() (kernelTable, error) {
+	return parseKernelTable(kernelsGolden)
+})
+
+// KernelCosts returns the rows of the kernel cost table in file order.
+func KernelCosts() ([]KernelCost, error) {
+	t, err := pinnedKernels()
+	return append([]KernelCost(nil), t.rows...), err
+}
+
+// parseKernelTable reads kernels.golden: after '#' comment lines, one
+// "kernel/words cycles=C insts=I reads=R writes=W" row per line.
+func parseKernelTable(text string) (kernelTable, error) {
+	t := kernelTable{index: make(map[kernelKey]PerOp)}
+	for i, line := range strings.Split(text, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
 		}
-		if u%2 == 0 {
-			tbl[u/2] = sq
-		} else {
-			tbl[u/2] |= sq << 16
+		var key string
+		var c PerOp
+		_, err := fmt.Sscanf(line, "%s cycles=%d insts=%d reads=%d writes=%d",
+			&key, &c.Cycles, &c.Insts, &c.RAMReads, &c.RAMWrites)
+		name, words, _ := strings.Cut(key, "/")
+		n, nerr := strconv.Atoi(words)
+		_, dup := t.index[kernelKey{name, n}]
+		switch {
+		case err != nil:
+		case name == "" || nerr != nil:
+			err = fmt.Errorf("key %q is not kernel/words", key)
+		case dup:
+			err = fmt.Errorf("repeated row %s", key)
 		}
-	}
-	r.StoreWords(mem.RAMBase+0x3c00, tbl)
-	var st cpu.Stats
-	var err error
-	if extraArg {
-		// Reduction kernel signature: (res, c, p) with c of 2k words.
-		c12 := make([]uint32, 2*kWords)
-		for i := range c12 {
-			c12[i] = s ^ uint32(i*0x27d4eb2f)
-			s = s*22695477 + 1
+		if err != nil {
+			return kernelTable{}, fmt.Errorf("sim: kernels.golden line %d: %w", i+1, err)
 		}
-		r.StoreWords(mbAddr, c12)
-		// P-192 modulus (the only hand-written reduction kernel).
-		pr := []uint32{0xffffffff, 0xffffffff, 0xfffffffe, 0xffffffff, 0xffffffff, 0xffffffff}
-		r.StoreWords(mpAddr, pr)
-		st, err = r.Run(k, mresAddr, mbAddr, mpAddr)
-	} else {
-		st, err = r.Run(k, mresAddr, maAddr, mbAddr, uint32(kWords))
+		t.rows = append(t.rows, KernelCost{name, n, c})
+		t.index[kernelKey{name, n}] = c
 	}
-	if err != nil {
-		panic(fmt.Sprintf("sim: kernel %s failed: %v", k.Name, err))
+	return t, nil
+}
+
+// kernelCosts serves one pricing's kernel costs from a table,
+// remembering every row the table lacks.
+type kernelCosts struct {
+	index   map[kernelKey]PerOp
+	missing []kernelCall
+}
+
+// kernelCall is a kernel priced at a word count.
+type kernelCall struct {
+	kernel *kernels.Kernel
+	words  int
+}
+
+// pinnedKernelCosts prices from the pinned table.
+func pinnedKernelCosts() (kernelCosts, error) {
+	t, err := pinnedKernels()
+	return kernelCosts{index: t.index}, err
+}
+
+// of returns one call of kernel k at the given word count.
+func (c *kernelCosts) of(k *kernels.Kernel, words int) PerOp {
+	cost, ok := c.index[kernelKey{k.Name, words}]
+	if !ok {
+		c.missing = append(c.missing, kernelCall{k, words})
 	}
-	c := PerOp{Cycles: st.Cycles, Insts: st.Insts, RAMReads: st.Loads, RAMWrites: st.Stores}
-	measureCache[key] = c
-	return c
+	return cost
+}
+
+// err reports the first row a pricing looked up and the table lacked.
+func (c *kernelCosts) err() error {
+	if len(c.missing) == 0 {
+		return nil
+	}
+	m := c.missing[0]
+	return fmt.Errorf("sim: kernel cost table has no row %s/%d (regenerate testdata/kernels.golden with go test ./internal/sim/ -run TestKernelGolden -update)",
+		m.kernel.Name, m.words)
 }

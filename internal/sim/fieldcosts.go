@@ -9,16 +9,16 @@ import (
 // redCost prices the NIST fast reduction for a field with k words: the
 // hand-written P-192 and B-163 kernels are measured, other fields scale by
 // word count and fold-complexity factor (calibrate.go).
-func redCost(fieldName string, k int) PerOp {
-	base := measureKernel(kernels.RedP192, 6, true)
+func (c *kernelCosts) redCost(fieldName string, k int) PerOp {
+	base := c.of(kernels.RedP192, 6)
 	f := float64(k) / 6.0 * redScale(fieldName)
 	return base.scale(f)
 }
 
 // redCostBinary prices binary-field reduction from the measured B-163
 // kernel (Algorithm 7), scaled by word count.
-func redCostBinary(k int) PerOp {
-	base := measureKernel(kernels.RedB163, 6, true)
+func (c *kernelCosts) redCostBinary(k int) PerOp {
+	base := c.of(kernels.RedB163, 6)
 	return base.scale(float64(k) / 6.0)
 }
 
@@ -32,8 +32,8 @@ var callOv = PerOp{
 
 // addModCost prices a modular add/sub: the multi-precision add kernel plus
 // an average half conditional correction pass.
-func addModCost(k int) PerOp {
-	a := measureKernel(kernels.AddMP, k, false)
+func (c *kernelCosts) addModCost(k int) PerOp {
+	a := c.of(kernels.AddMP, k)
 	return a.plus(a.scale(0.5)).plus(callOv)
 }
 
@@ -49,30 +49,30 @@ func beeaCost(bits, k int) PerOp {
 	}
 }
 
-// PrimeFieldCosts builds the cost table for a prime field under an
+// primeFieldCosts builds the cost table for a prime field under an
 // architecture.
-func PrimeFieldCosts(arch Arch, fieldName string, bits, k int, opt Options) FieldCosts {
-	red := redCost(fieldName, k)
+func (c *kernelCosts) primeFieldCosts(arch Arch, fieldName string, bits, k int, opt Options) FieldCosts {
+	red := c.redCost(fieldName, k)
 	switch arch {
 	case Baseline, BaselineCache:
-		m := measureKernel(kernels.MulOS, k, false).scale(mulOSFactor)
+		m := c.of(kernels.MulOS, k).scale(mulOSFactor)
 		mul := m.plus(red).plus(callOv)
 		return FieldCosts{
 			Mul: mul,
 			Sqr: m.scale(baselineSqrFactor).plus(red).plus(callOv),
-			Add: addModCost(k),
-			Sub: addModCost(k),
+			Add: c.addModCost(k),
+			Sub: c.addModCost(k),
 			Inv: beeaCost(bits, k),
 		}
 	case ISAExt, ISAExtCache:
-		m := measureKernel(kernels.MulPSExt, k, false).scale(mulPSFactor)
+		m := c.of(kernels.MulPSExt, k).scale(mulPSFactor)
 		mul := m.plus(red).plus(callOv)
-		sqr := measureKernel(kernels.SqrPSExt, k, false).scale(mulPSFactor).plus(red).plus(callOv)
+		sqr := c.of(kernels.SqrPSExt, k).scale(mulPSFactor).plus(red).plus(callOv)
 		return FieldCosts{
 			Mul: mul,
 			Sqr: sqr,
-			Add: addModCost(k),
-			Sub: addModCost(k),
+			Add: c.addModCost(k),
+			Sub: c.addModCost(k),
 			Inv: beeaCost(bits, k),
 		}
 	case WithMonte, MonteCache:
@@ -117,15 +117,15 @@ func PrimeFieldCosts(arch Arch, fieldName string, bits, k int, opt Options) Fiel
 	panic("sim: architecture cannot run prime fields: " + arch.String())
 }
 
-// BinaryFieldCosts builds the cost table for a binary field under an
+// binaryFieldCosts builds the cost table for a binary field under an
 // architecture.
-func BinaryFieldCosts(arch Arch, fieldName string, m, k int, opt Options) FieldCosts {
-	red := redCostBinary(k)
-	addGF2 := measureKernel(kernels.AddGF2, k, false).plus(callOv)
+func (c *kernelCosts) binaryFieldCosts(arch Arch, fieldName string, m, k int, opt Options) FieldCosts {
+	red := c.redCostBinary(k)
+	addGF2 := c.of(kernels.AddGF2, k).plus(callOv)
 	switch arch {
 	case Baseline, BaselineCache:
-		mul := measureKernel(kernels.MulComb, k, false).plus(red).plus(callOv)
-		sqr := measureKernel(kernels.SqrGF2TableHot, k, false)
+		mul := c.of(kernels.MulComb, k).plus(red).plus(callOv)
+		sqr := c.of(kernels.SqrGF2TableHot, k)
 		return FieldCosts{
 			Mul: mul,
 			Sqr: sqr.plus(red).plus(callOv),
@@ -134,8 +134,8 @@ func BinaryFieldCosts(arch Arch, fieldName string, m, k int, opt Options) FieldC
 			Inv: beeaCost(m, k).scale(1.1), // polynomial EEA degree bookkeeping
 		}
 	case ISAExt, ISAExtCache:
-		mul := measureKernel(kernels.MulGF2Ext, k, false).scale(mulGF2Factor).plus(red).plus(callOv)
-		sqr := measureKernel(kernels.SqrGF2Cl, k, false)
+		mul := c.of(kernels.MulGF2Ext, k).scale(mulGF2Factor).plus(red).plus(callOv)
+		sqr := c.of(kernels.SqrGF2Cl, k)
 		return FieldCosts{
 			Mul: mul,
 			Sqr: sqr.plus(red).plus(callOv),

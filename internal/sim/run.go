@@ -253,23 +253,30 @@ func runWorkload(arch Arch, curveName string, opt Options, wl workloadDef) (Resu
 		return Result{}, err
 	}
 
+	kc, err := pinnedKernelCosts()
+	if err != nil {
+		return Result{}, err
+	}
 	var fieldCosts FieldCosts
 	var accel bool
 	if prime {
-		fieldCosts, accel = PrimeFieldCosts(arch, curveName, prof.bits, prof.k, opt), arch.HasMonte()
+		fieldCosts, accel = kc.primeFieldCosts(arch, curveName, prof.bits, prof.k, opt), arch.HasMonte()
 	} else {
-		fieldCosts, accel = BinaryFieldCosts(arch, curveName, prof.bits, prof.k, opt), arch == WithBillie
+		fieldCosts, accel = kc.binaryFieldCosts(arch, curveName, prof.bits, prof.k, opt), arch == WithBillie
 	}
-	orderCosts := orderCostsFor(arch, curveName, prof.nbits, opt)
+	orderCosts := kc.orderCosts(arch, prof.nbits, opt)
+	if err := kc.err(); err != nil {
+		return Result{}, err
+	}
 	tallies := priceWorkload(prof.phases, fieldCosts, orderCosts, accel)
 	return assemble(arch, curveName, opt, wl, prof.phases, tallies, prof.bits)
 }
 
-// orderCostsFor prices group-order (protocol) arithmetic, which always
+// orderCosts prices group-order (protocol) arithmetic, which always
 // runs in software on Pete — the Amdahl's-law bottleneck of Section 7.3.
 // Accelerated configurations use the *baseline* core's software costs;
 // ISA-extended configurations benefit from their extensions.
-func orderCostsFor(arch Arch, curveName string, nbits int, opt Options) FieldCosts {
+func (c *kernelCosts) orderCosts(arch Arch, nbits int, opt Options) FieldCosts {
 	ow := (nbits + 31) / 32
 	var swArch Arch
 	switch arch {
@@ -280,13 +287,13 @@ func orderCostsFor(arch Arch, curveName string, nbits int, opt Options) FieldCos
 	}
 	// The order field has no NIST reduction; use the generic prime
 	// software path, scaled.
-	c := PrimeFieldCosts(swArch, "order", nbits, ow, opt)
+	fc := c.primeFieldCosts(swArch, "order", nbits, ow, opt)
 	return FieldCosts{
-		Mul: c.Mul.scale(orderCostFactor),
-		Sqr: c.Sqr.scale(orderCostFactor),
-		Add: c.Add,
-		Sub: c.Sub,
-		Inv: c.Inv,
+		Mul: fc.Mul.scale(orderCostFactor),
+		Sqr: fc.Sqr.scale(orderCostFactor),
+		Add: fc.Add,
+		Sub: fc.Sub,
+		Inv: fc.Inv,
 	}
 }
 
