@@ -72,7 +72,7 @@ func printStats(w io.Writer, reg *repro.Metrics, total time.Duration) {
 
 	// A sweep's stage timings, read back from the registry: the
 	// histograms sum every observation of their stage (an adaptive
-	// exploration expands, loads and flushes once per round).
+	// exploration loads once, and expands and flushes once per round).
 	if expand, ok := s.Histograms["sweep.expand"]; ok {
 		fmt.Fprintln(w, "sweep stages:")
 		fmt.Fprintf(w, "  total %.3fs  expand %.3fs  fingerprint %.3fs  load %.3fs (%d B)  flush %.3fs (%d B)\n",

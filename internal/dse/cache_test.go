@@ -56,7 +56,9 @@ func TestCacheErrorEntriesNotHits(t *testing.T) {
 // TestSweepStoreBytesUnchangedByCensusMemo is the tentpole's disk-level
 // bit-exactness pin: the v2 store a sweep flushes must be byte-for-byte
 // identical whether censuses come from the memo or from fresh profile
-// runs. Keys, hashes and every serialized result ride on this.
+// runs. The fresh side resets the memo before pricing each configuration
+// into its own cache and saves that cache with SaveFile. Keys, hashes
+// and every serialized result ride on this.
 func TestSweepStoreBytesUnchangedByCensusMemo(t *testing.T) {
 	spec := SweepSpec{
 		Archs:       []sim.Arch{sim.Baseline, sim.WithMonte, sim.WithBillie},
@@ -73,38 +75,41 @@ func TestSweepStoreBytesUnchangedByCensusMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sim.DisableCensusMemo(true)
-	defer sim.DisableCensusMemo(false)
-	freshDir := t.TempDir()
-	freshRes, err := Sweep(spec, SweepOptions{Cache: NewCache(), CacheDir: freshDir})
-	if err != nil {
-		t.Fatal(err)
+	cfgs := spec.Expand()
+	if len(memoRes.Points) != len(cfgs) {
+		t.Fatalf("point counts differ: %d vs %d", len(memoRes.Points), len(cfgs))
 	}
-
-	if len(memoRes.Points) != len(freshRes.Points) {
-		t.Fatalf("point counts differ: %d vs %d", len(memoRes.Points), len(freshRes.Points))
-	}
-	for i := range memoRes.Points {
-		m, f := memoRes.Points[i], freshRes.Points[i]
-		if m.Config.Hash() != f.Config.Hash() {
-			t.Errorf("point %d: hash %s (memo) != %s (fresh)", i, m.Config.Hash(), f.Config.Hash())
+	fresh := NewCache()
+	freshPath := DiskCachePath(t.TempDir())
+	for i, cfg := range cfgs {
+		sim.ResetCensusMemo()
+		res, _, err := fresh.GetOrRun(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if m.EnergyJ != f.EnergyJ || m.TimeS != f.TimeS {
+		m := memoRes.Points[i]
+		if m.Config.Hash() != cfg.Hash() {
+			t.Errorf("point %d: hash %s (memo) != %s (fresh)", i, m.Config.Hash(), cfg.Hash())
+		}
+		if f := newPoint(cfg, res); m.EnergyJ != f.EnergyJ || m.TimeS != f.TimeS {
 			t.Errorf("point %d: memo (%g J, %g s) != fresh (%g J, %g s)",
 				i, m.EnergyJ, m.TimeS, f.EnergyJ, f.TimeS)
 		}
+	}
+	if _, err := fresh.SaveFile(freshPath); err != nil {
+		t.Fatal(err)
 	}
 
 	memoBytes, err := os.ReadFile(DiskCachePath(memoDir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	freshBytes, err := os.ReadFile(DiskCachePath(freshDir))
+	freshBytes, err := os.ReadFile(freshPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(memoBytes, freshBytes) {
-		t.Errorf("store bytes differ with the census memo on vs off (%d vs %d bytes)",
+		t.Errorf("store bytes differ between memo-served and fresh censuses (%d vs %d bytes)",
 			len(memoBytes), len(freshBytes))
 	}
 }

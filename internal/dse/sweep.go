@@ -128,10 +128,9 @@ type sweepRun struct {
 	diskLoaded, diskSaved int
 	flushes, flushSkips   int
 	// storeSynced records that the store holds exactly the cache's
-	// entries (the last batch flushed or verified it), so a batch that
-	// loads nothing new and simulates nothing can skip its flush.
-	// LoadFile counts only fresh inserts, so from the second batch on
-	// the cache.Len() == loaded check alone cannot prove that.
+	// entries (the load filled an empty cache with it, or the last
+	// batch flushed or verified it), so a batch that simulates nothing
+	// can skip its flush.
 	storeSynced bool
 }
 
@@ -156,22 +155,24 @@ func (r *sweepRun) poolWidth(n int) int {
 }
 
 // price evaluates one batch of expanded configurations on the worker
-// pool: store load, census warm-up, cached-or-simulated pricing, the
-// batch's journal point events in input order, and store flush. It
-// returns the batch's points in input order, or the first failure.
-// Journal point events number the batch's own points.
+// pool: store load (before the first batch only: later batches would
+// re-read what the last flush wrote), census warm-up, cached-or-simulated
+// pricing, the batch's journal point events in input order, and store
+// flush. It returns the batch's points in input order, or the first
+// failure. Journal point events number the batch's own points.
 func (r *sweepRun) price(cfgs []Config) ([]Point, error) {
 	opt := r.opt
 	workers := r.poolWidth(len(cfgs))
+	if r.configs == 0 {
+		if err := r.load(workers); err != nil {
+			return nil, err
+		}
+	}
 	r.workers = max(r.workers, workers)
 	r.configs += len(cfgs)
 	if m := opt.Metrics; m != nil {
 		m.Gauge("sweep.configs").Set(int64(r.configs))
 		m.Gauge("sweep.workers").Set(int64(workers))
-	}
-	loaded, err := r.load(workers)
-	if err != nil {
-		return nil, err
 	}
 	r.warm(cfgs, workers)
 
@@ -244,7 +245,7 @@ func (r *sweepRun) price(cfgs []Config) ([]Point, error) {
 		m.Counter("sweep.points.simulated").Add(int64(misses))
 		m.Counter("sweep.points.cached").Add(int64(hits))
 	}
-	if flushErr := r.flush(sweepErr != nil, misses == 0, loaded); flushErr != nil {
+	if flushErr := r.flush(sweepErr != nil, misses == 0); flushErr != nil {
 		if sweepErr == nil {
 			return nil, flushErr
 		}
@@ -288,12 +289,12 @@ func warmCensuses(cfgs []Config, workers int) {
 	sim.WarmCensuses(workloads, workers)
 }
 
-// load merges the persistent store into the cache before a batch and
-// returns how many entries it added. The model fingerprint warms its
-// probes' censuses on the batch's pool width.
-func (r *sweepRun) load(workers int) (int, error) {
+// load merges the persistent store into the cache before the first
+// batch. The model fingerprint warms its probes' censuses on the
+// batch's pool width.
+func (r *sweepRun) load(workers int) error {
 	if r.opt.CacheDir == "" {
-		return 0, nil
+		return nil
 	}
 	m := r.opt.Metrics
 	// Every store read and write checks the model fingerprint, whose
@@ -311,9 +312,10 @@ func (r *sweepRun) load(workers int) (int, error) {
 	start = time.Now()
 	n, err := r.cache.LoadFile(path)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	r.diskLoaded += n
+	r.diskLoaded = n
+	r.storeSynced = r.cache.Len() == n
 	// A cold sweep has no store yet; LoadFile treats that as zero
 	// entries, and the journal/metrics skip it too rather than record a
 	// phantom load.
@@ -328,7 +330,7 @@ func (r *sweepRun) load(workers int) (int, error) {
 			"path": path, "entries": n, "seconds": d.Seconds(), "bytes": size,
 		})
 	}
-	return n, nil
+	return nil
 }
 
 // flush writes the cache back to the persistent store after a batch.
@@ -336,7 +338,7 @@ func (r *sweepRun) load(workers int) (int, error) {
 // point is persisted before the error propagates, so a sweep that dies
 // on its last configuration costs one retry, not a full re-simulation.
 // (SaveFile never persists error entries.)
-func (r *sweepRun) flush(failed, allHits bool, loaded int) error {
+func (r *sweepRun) flush(failed, allHits bool) error {
 	if r.opt.CacheDir == "" {
 		return nil
 	}
@@ -345,9 +347,8 @@ func (r *sweepRun) flush(failed, allHits bool, loaded int) error {
 	// in-memory cache holds nothing beyond what it served, the flush
 	// would rewrite identical bytes — skip it and report an unchanged
 	// store (not a phantom save).
-	if !failed && allHits && (r.cache.Len() == loaded || (r.storeSynced && loaded == 0)) {
+	if !failed && allHits && r.storeSynced {
 		r.flushSkips++
-		r.storeSynced = true
 		r.opt.Journal.Emit("store_flush", map[string]any{
 			"path": path, "entries": 0, "unchanged": true,
 		})

@@ -35,16 +35,17 @@ import (
 // x phases (40), regardless of grid size — and a handshake reuses the
 // keygen, ecdh, sign and verify entries other workloads already paid for.
 //
-// Callers do not wait for their Runs to miss: WarmCensuses, the one
-// warm-up scheduler, profiles what they will price up front, one pass
-// per curve over every phase they need (WarmCensus), spread over a
-// worker pool widest field first. A sweep warms each batch's uncached
-// configurations on its pool, the store's model fingerprint its probes,
-// and the report (dse -all) the default workload on every curve. A
-// warm-up counts nothing; each entry it profiled counts as a miss when
-// a Run first serves it, so hits + misses still equals the phase
-// lookups Run made and misses the entries profiled, exactly as for a
-// lazy render or sweep.
+// Every entry is filled one way: fill profiles, in one pass under the
+// curve's pass lock, every entry a set of phases needs that the memo
+// lacks. A Run's lookup (get) is fill followed by serving; WarmCensuses,
+// the one warm-up scheduler, runs fill up front, one pass per curve over
+// every phase its callers will price, spread over a worker pool widest
+// field first. A sweep warms each batch's uncached configurations on its
+// pool, the store's model fingerprint its probes, and the report (dse
+// -all) the default workload on every curve. Whoever filled an entry,
+// its first serve counts as its miss and every later serve as a hit, so
+// hits + misses equals the phase lookups Run made and misses the
+// entries profiled, warmed or not.
 //
 // Profiling runs on the fastest functional field implementation of each
 // family, censusPrimeAlg and censusBinaryAlg. One sign-verify profile,
@@ -57,8 +58,9 @@ import (
 // Bit-exactness: the profilers are deterministic (fixed seeds,
 // RFC-6979-style signing), so a memoized census is byte-for-byte the
 // census a fresh profile run would produce — results, hashes, goldens
-// and store bytes are identical with the memo on or off (pinned by the
-// memo-vs-fresh equivalence tests).
+// and store bytes are identical whether a pricing is served from the memo
+// or profiled afresh after a ResetCensusMemo (pinned by the memo-vs-fresh
+// equivalence tests).
 const (
 	censusPrimeAlg  = mp.OSNIST
 	censusBinaryAlg = gf2.Comb
@@ -107,59 +109,43 @@ type censusEntry struct {
 	census opCensus
 	curveParams
 	err error
-	// uncounted marks an entry a warm-up profiled: the first lookup that
-	// serves it counts it as a miss.
-	uncounted bool
+	// served marks an entry a lookup has served: its first serve counted
+	// as its miss, every later serve of a good entry counts as a hit.
+	served bool
 }
 
-// censusCache is the race-safe memo. Concurrent misses on the same entry
-// are deduplicated singleflight-style (like dse.Cache.inflight): the
-// first caller profiles, everyone else blocks and shares the entry.
+// censusCache is the race-safe memo. Entries are filled under a
+// per-curve pass lock, so racing fills on one curve run one profile pass
+// and the others find its entries published.
 type censusCache struct {
-	mu       sync.Mutex
-	m        map[censusKey]censusEntry
-	inflight map[censusKey]*sync.WaitGroup
+	mu     sync.Mutex
+	m      map[censusKey]censusEntry
+	passes sync.Map // curve → *sync.Mutex, its pass lock
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
 }
 
-var censuses = &censusCache{
-	m:        make(map[censusKey]censusEntry),
-	inflight: make(map[censusKey]*sync.WaitGroup),
-}
-
-// censusMemoOff gates the memo; the equivalence tests flip it to compare
-// memoized pricings against fresh profile runs.
-var censusMemoOff atomic.Bool
-
-// DisableCensusMemo turns the process-wide census memo off (true) or
-// back on (false). With the memo off every Run pays a fresh functional
-// profile execution — the pre-memo behavior, kept reachable so
-// equivalence tests can prove the memo changes nothing but speed.
-func DisableCensusMemo(off bool) { censusMemoOff.Store(off) }
-
-// CensusMemoEnabled reports whether Run serves censuses from the memo.
-func CensusMemoEnabled() bool { return !censusMemoOff.Load() }
+var censuses = &censusCache{m: make(map[censusKey]censusEntry)}
 
 // ResetCensusMemo drops every memoized census and zeroes the hit/miss
 // counters, forcing subsequent runs to profile from scratch (cold-sweep
-// benchmarks and census-timing tests use this).
+// benchmarks, census-timing tests and the memo-vs-fresh equivalence
+// tests use this).
 func ResetCensusMemo() {
 	censuses.mu.Lock()
 	defer censuses.mu.Unlock()
 	censuses.m = make(map[censusKey]censusEntry)
-	censuses.inflight = make(map[censusKey]*sync.WaitGroup)
 	censuses.hits.Store(0)
 	censuses.misses.Store(0)
 }
 
 // CensusMemoStats returns the memo's cumulative hit and miss counts
-// since process start (or the last ResetCensusMemo): a miss is one
-// profiled (curve, phase) entry, a hit one phase served from the memo.
-// An entry WarmCensus profiled counts as its miss when first served.
-// The same counts stream into an installed metrics registry as
-// sim.census.hits / sim.census.misses.
+// since process start (or the last ResetCensusMemo). An entry's first
+// serve is its miss — one profiled (curve, phase) entry, whoever
+// profiled it — and every later serve of a good entry a hit, so hits +
+// misses equals the phase lookups Run made. The same counts stream into
+// an installed metrics registry as sim.census.hits / sim.census.misses.
 func CensusMemoStats() (hits, misses uint64) {
 	return censuses.hits.Load(), censuses.misses.Load()
 }
@@ -173,32 +159,20 @@ func CensusMemoLen() int {
 
 // profileOrder is the order a profile pass executes phases in. Verify
 // consumes the signature sign produces, so the two are profiled and
-// published together: a miss on either claims both (profiledWith).
+// published together: a fill for either profiles both (profiledWith).
 var (
 	profileOrder = []string{PhaseKeyGen, PhaseECDH, PhaseSign, PhaseVerify}
 	profiledWith = map[string]string{PhaseSign: PhaseVerify, PhaseVerify: PhaseSign}
 )
 
-// WarmCensus profiles, in one pass, every census the named workloads
-// price on curve that the memo neither holds nor is already profiling,
-// so a sweep can spread its curves over its worker pool before pricing
-// anything. It moves no counter: a warmed entry counts as the miss that
-// profiled it when a Run first serves it. A no-op while the memo is
-// disabled.
-func WarmCensus(curve string, workloads []string) error {
-	if !ec.KnownCurve(curve) {
-		return fmt.Errorf("sim: unknown curve %q", curve)
-	}
-	return censuses.warm(curve, workloads, profileCurve)
-}
-
 // WarmCensuses is the census warm-up scheduler every up-front warm-up
 // goes through — a sweep batch's, the model fingerprint's probes' and
-// the report's: one WarmCensus pass per curve over its workloads, on a
-// pool of the given width (0 = GOMAXPROCS). The passes start widest
-// field first: the longest one started last would run alone while the
-// other workers idle. A failed pass is left to the Run that serves it,
-// which reports it with its configuration named.
+// the report's: one fill pass per curve over every phase its workloads
+// price, on a pool of the given width (0 = GOMAXPROCS). The passes
+// start widest field first: the longest one started last would run
+// alone while the other workers idle. It moves no counter. An unknown
+// curve or workload is skipped, and a failed pass remembered, for the
+// Run that serves it to report with its configuration named.
 func WarmCensuses(workloads map[string][]string, workers int) {
 	curves := slices.SortedFunc(maps.Keys(workloads), func(a, b string) int {
 		return cmp.Compare(fieldBits(b), fieldBits(a))
@@ -213,7 +187,9 @@ func WarmCensuses(workloads map[string][]string, workers int) {
 		go func() {
 			defer wg.Done()
 			for curve := range jobs {
-				_ = WarmCensus(curve, workloads[curve])
+				if ec.KnownCurve(curve) {
+					censuses.fill(curve, workloadPhases(workloads[curve]), profileCurve)
+				}
 			}
 		}()
 	}
@@ -224,6 +200,18 @@ func WarmCensuses(workloads map[string][]string, workers int) {
 	wg.Wait()
 }
 
+// workloadPhases returns the phases the named workloads price, skipping
+// unknown names.
+func workloadPhases(workloads []string) []string {
+	var phases []string
+	for _, name := range workloads {
+		if wl, ok := workloadByName(name); ok {
+			phases = append(phases, wl.phases...)
+		}
+	}
+	return phases
+}
+
 // fieldBits returns the field size a NIST curve's name carries ("B-571"
 // is over GF(2^571)), the rank of its census pass's cost.
 func fieldBits(curve string) int {
@@ -231,98 +219,59 @@ func fieldBits(curve string) int {
 	return n
 }
 
-func (c *censusCache) warm(curve string, workloads []string, profile profileFunc) error {
-	var phases []string
-	for _, name := range workloads {
-		wl, ok := workloadByName(name)
-		if !ok {
-			return fmt.Errorf("sim: %w", CheckWorkload(name))
-		}
-		for _, ph := range wl.phases {
-			if !slices.Contains(phases, ph) {
-				phases = append(phases, ph)
-			}
-		}
+// fill profiles, in one pass under the curve's pass lock, every entry
+// the phases need that the memo lacks, and publishes them unserved. A
+// profile error is remembered in every entry the pass did not complete;
+// the phases it completed before the error are published as good
+// entries.
+func (c *censusCache) fill(curve string, phases []string, profile profileFunc) {
+	if c.missing(curve, phases) == nil {
+		return
 	}
-	if censusMemoOff.Load() {
-		return nil
-	}
-	_, _, err := c.fill(curve, phases, profile, true)
-	return err
-}
-
-// fill profiles, in one pass, every entry the phases need that is
-// neither memoized nor in flight, and returns the phases it claimed and
-// the passes of other callers still profiling the rest. A lookup's own
-// pass counts its misses up front; a warm-up's entries are published
-// uncounted.
-func (c *censusCache) fill(curve string, phases []string, profile profileFunc, warm bool) ([]string, []*sync.WaitGroup, error) {
-	var claimed []string
-	var waits []*sync.WaitGroup
-	var wg *sync.WaitGroup
-	c.mu.Lock()
-	for _, ph := range profileOrder {
-		if !slices.Contains(phases, ph) && !slices.Contains(phases, profiledWith[ph]) {
-			continue
-		}
-		key := censusKey{curve, ph}
-		if _, ok := c.m[key]; ok {
-			continue
-		}
-		if w, ok := c.inflight[key]; ok {
-			waits = append(waits, w)
-			continue
-		}
-		if wg == nil {
-			wg = new(sync.WaitGroup)
-			wg.Add(1)
-		}
-		c.inflight[key] = wg
-		claimed = append(claimed, ph)
-	}
-	c.mu.Unlock()
-	if wg == nil {
-		return nil, waits, nil
+	p, _ := c.passes.LoadOrStore(curve, new(sync.Mutex))
+	pass := p.(*sync.Mutex)
+	pass.Lock()
+	defer pass.Unlock()
+	missing := c.missing(curve, phases) // a racing pass may have filled them
+	if missing == nil {
+		return
 	}
 
-	if !warm {
-		c.countMisses(len(claimed))
-	}
-	prof, err := profile(curve, claimed)
+	prof, err := profile(curve, missing)
 	c.mu.Lock()
-	for i, ph := range claimed {
-		e := censusEntry{curveParams: prof.curveParams, err: err, uncounted: warm}
+	defer c.mu.Unlock()
+	for i, ph := range missing {
+		e := censusEntry{curveParams: prof.curveParams, err: err}
 		if i < len(prof.phases) {
 			e.census, e.err = prof.phases[i].census, nil
 		}
 		c.m[censusKey{curve, ph}] = e
-		delete(c.inflight, censusKey{curve, ph})
-	}
-	c.mu.Unlock()
-	wg.Done()
-	return claimed, waits, err
-}
-
-func (c *censusCache) countMisses(n int) {
-	c.misses.Add(uint64(n))
-	if reg := metrics(); reg != nil {
-		reg.Counter("sim.census.misses").Add(int64(n))
 	}
 }
 
-// get returns the censuses of the named phases on curve, profiling every
-// missing entry in one pass and each entry at most once. A profile error
-// is remembered and re-served; matching dse.Cache's error-entry
-// semantics, serving a remembered error does not count as a hit (the
-// original failed profile still counted as the miss).
+// missing returns, in profileOrder, the phases or their profiledWith
+// partners the memo holds no entry for on curve.
+func (c *censusCache) missing(curve string, phases []string) []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []string
+	for _, ph := range profileOrder {
+		if !slices.Contains(phases, ph) && !slices.Contains(phases, profiledWith[ph]) {
+			continue
+		}
+		if _, ok := c.m[censusKey{curve, ph}]; !ok {
+			out = append(out, ph)
+		}
+	}
+	return out
+}
+
+// get returns the censuses of the named phases on curve: it fills the
+// missing entries, then serves them. Matching dse.Cache's error-entry
+// semantics, a remembered profile error is re-served but never counted
+// as a hit (its first serve still counted as the miss).
 func (c *censusCache) get(curve string, phases []string, profile profileFunc) (censusProfile, error) {
-	if censusMemoOff.Load() {
-		return profile(curve, phases)
-	}
-	claimed, waits, _ := c.fill(curve, phases, profile, false)
-	for _, w := range waits {
-		w.Wait() // its profiler has published
-	}
+	c.fill(curve, phases, profile)
 
 	out := censusProfile{phases: make([]profiledPhase, len(phases))}
 	var hits, misses int
@@ -333,13 +282,13 @@ func (c *censusCache) get(curve string, phases []string, profile profileFunc) (c
 		e, ok := c.m[key]
 		switch {
 		case !ok:
-			// Only a phase missing from profileOrder is never claimed.
+			// Only a phase missing from profileOrder is never filled.
 			e.err = fmt.Errorf("sim: phase %q has no profile order", ph)
-		case e.uncounted:
-			e.uncounted = false
+		case !e.served:
+			e.served = true
 			c.m[key] = e
 			misses++
-		case e.err == nil && !slices.Contains(claimed, ph):
+		case e.err == nil:
 			hits++
 		}
 		if e.err != nil {
@@ -352,12 +301,15 @@ func (c *censusCache) get(curve string, phases []string, profile profileFunc) (c
 		out.curveParams = e.curveParams
 	}
 	c.mu.Unlock()
-	if misses > 0 {
-		c.countMisses(misses)
-	}
 	c.hits.Add(uint64(hits))
-	if reg := metrics(); reg != nil && hits > 0 {
-		reg.Counter("sim.census.hits").Add(int64(hits))
+	c.misses.Add(uint64(misses))
+	if reg := metrics(); reg != nil {
+		if hits > 0 {
+			reg.Counter("sim.census.hits").Add(int64(hits))
+		}
+		if misses > 0 {
+			reg.Counter("sim.census.misses").Add(int64(misses))
+		}
 	}
 	return out, err
 }

@@ -28,9 +28,10 @@ func allCurves() []string {
 // TestCensusMemoEquivalence is the tentpole's bit-exactness pin: over the
 // full arch x curve x workload matrix, a memo-served Run must be
 // reflect.DeepEqual to a fresh-profiled Run — results and errors alike.
-// The memo may only change speed, never a single byte of output. Both
-// sides profile on the census field implementation;
-// TestCensusMemoPhaseInvariance covers every other one.
+// The memo may only change speed, never a single byte of output. The
+// fresh side resets the memo before every Run. Both sides profile on the
+// census field implementation; TestCensusMemoPhaseInvariance covers
+// every other one.
 func TestCensusMemoEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fresh-profiles the full arch x curve x workload matrix")
@@ -42,11 +43,14 @@ func TestCensusMemoEquivalence(t *testing.T) {
 		res Result
 		err error
 	}
-	run := func() map[string]cell {
+	run := func(fresh bool) map[string]cell {
 		out := make(map[string]cell)
 		for _, arch := range allArches {
 			for _, curve := range allCurves() {
 				for _, wl := range Workloads() {
+					if fresh {
+						ResetCensusMemo()
+					}
 					res, err := Run(arch, curve, Options{Workload: wl})
 					out[fmt.Sprintf("%s/%s/%s", arch, curve, wl)] = cell{res, err}
 				}
@@ -55,14 +59,11 @@ func TestCensusMemoEquivalence(t *testing.T) {
 		return out
 	}
 
-	memoized := run()
+	memoized := run(false)
 	if h, m := CensusMemoStats(); h == 0 || m == 0 {
 		t.Fatalf("matrix exercised the memo poorly: %d hits, %d misses", h, m)
 	}
-
-	DisableCensusMemo(true)
-	defer DisableCensusMemo(false)
-	fresh := run()
+	fresh := run(true)
 
 	if len(memoized) != len(fresh) {
 		t.Fatalf("matrix sizes differ: %d vs %d", len(memoized), len(fresh))
@@ -85,7 +86,7 @@ func TestCensusMemoEquivalence(t *testing.T) {
 // key rests on: for every curve, every multiplication algorithm of its
 // family and every workload, each phase's census and curve sizes equal
 // the (curve, phase) reference profiled on the census field
-// implementation. The memo-off side of TestCensusMemoEquivalence profiles
+// implementation. The fresh side of TestCensusMemoEquivalence profiles
 // on that same implementation, so only this test can catch a census that
 // depends on the algorithm or the workload. Every sign/verify-closed
 // subset of the phases is checked too: a memo miss profiles exactly the
@@ -158,9 +159,9 @@ func TestCensusMemoPhaseInvariance(t *testing.T) {
 
 // TestCensusMemoErrorSemantics pins the memo's error-entry contract
 // (mirroring dse.Cache): a profile error is remembered and re-served
-// without re-profiling, counted as the one original miss per entry and
-// never as a hit. Phases a failing pass completed before the error are
-// published as good entries.
+// without re-profiling, its first serve counted as the entry's miss and
+// no serve as a hit. Phases a failing pass completed before the error are
+// published as good entries, unserved until a lookup names them.
 func TestCensusMemoErrorSemantics(t *testing.T) {
 	ResetCensusMemo()
 	defer ResetCensusMemo()
@@ -189,7 +190,8 @@ func TestCensusMemoErrorSemantics(t *testing.T) {
 		t.Errorf("re-serving an error moved the counters: %d hits / %d misses, want 0 / 1", h, m)
 	}
 
-	// A pass that fails on verify still publishes the sign it completed.
+	// A pass that fails on verify still publishes the sign it completed;
+	// the later sign lookup is that entry's first serve, so its miss.
 	signOnly := func(_ string, phases []string) (censusProfile, error) {
 		if !reflect.DeepEqual(phases, []string{PhaseSign, PhaseVerify}) {
 			t.Errorf("profiled %v, want sign and verify together", phases)
@@ -203,47 +205,18 @@ func TestCensusMemoErrorSemantics(t *testing.T) {
 	if err != nil || prof.k != 6 {
 		t.Fatalf("sign get: %+v, %v; want the published sign entry", prof, err)
 	}
-	if h, m := CensusMemoStats(); h != 1 || m != 3 {
-		t.Errorf("counters = %d hits / %d misses, want 1 / 3", h, m)
+	if h, m := CensusMemoStats(); h != 0 || m != 3 {
+		t.Errorf("counters = %d hits / %d misses, want 0 / 3", h, m)
 	}
 	if n := CensusMemoLen(); n != 3 {
 		t.Errorf("memo holds %d entries, want 3 (error entries included)", n)
 	}
 }
 
-// TestCensusMemoDisableBypasses checks the opt-out: with the memo off,
-// every get runs the profile function and nothing is memoized or counted.
-func TestCensusMemoDisableBypasses(t *testing.T) {
-	ResetCensusMemo()
-	defer ResetCensusMemo()
-	DisableCensusMemo(true)
-	defer DisableCensusMemo(false)
-
-	if CensusMemoEnabled() {
-		t.Fatal("CensusMemoEnabled() = true after DisableCensusMemo(true)")
-	}
-	calls := 0
-	profile := func(string, []string) (censusProfile, error) { calls++; return censusProfile{}, nil }
-	for i := 0; i < 3; i++ {
-		if _, err := censuses.get("P-000", []string{PhaseKeyGen}, profile); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if calls != 3 {
-		t.Errorf("profile ran %d times with the memo off, want 3", calls)
-	}
-	if h, m := CensusMemoStats(); h != 0 || m != 0 {
-		t.Errorf("disabled memo moved counters: %d hits / %d misses", h, m)
-	}
-	if n := CensusMemoLen(); n != 0 {
-		t.Errorf("disabled memo stored %d entries", n)
-	}
-}
-
 // TestCensusMemoConcurrent hammers one cold memo from many goroutines
 // (run under -race in CI): concurrent misses on the same entry must
-// deduplicate singleflight-style — exactly one profile per (curve, phase)
-// — and every caller must see the identical result.
+// share one pass under the curve's pass lock — exactly one profile per
+// (curve, phase) — and every caller must see the identical result.
 func TestCensusMemoConcurrent(t *testing.T) {
 	ResetCensusMemo()
 	defer ResetCensusMemo()
@@ -322,46 +295,60 @@ func TestCensusMemoWorkloadsSharePhases(t *testing.T) {
 }
 
 // TestCensusMemoRacingWorkloads races sign-verify and handshake Runs on
-// one cold curve (under -race in CI): their phase sets overlap, and every
-// (curve, phase) entry must still be profiled exactly once.
+// one cold curve (under -race in CI), alone and alongside WarmCensuses
+// calls for the same curve: their phase sets overlap, and every (curve,
+// phase) entry must still be profiled exactly once and counted as one
+// miss at its first serve.
 func TestCensusMemoRacingWorkloads(t *testing.T) {
-	ResetCensusMemo()
-	defer ResetCensusMemo()
-	reg := telemetry.New()
-	SetMetrics(reg)
-	defer SetMetrics(nil)
+	for _, warmers := range []int{0, 4} {
+		t.Run(fmt.Sprintf("warmers=%d", warmers), func(t *testing.T) {
+			ResetCensusMemo()
+			defer ResetCensusMemo()
+			reg := telemetry.New()
+			SetMetrics(reg)
+			defer SetMetrics(nil)
 
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wl := []string{WorkloadSignVerify, WorkloadHandshake}[i%2]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := Run(Baseline, "P-192", Options{Workload: wl}); err != nil {
-				t.Error(err)
+			var wg sync.WaitGroup
+			for range warmers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					WarmCensuses(map[string][]string{"P-192": Workloads()}, 2)
+				}()
 			}
-		}()
-	}
-	wg.Wait()
+			for i := 0; i < 8; i++ {
+				wl := []string{WorkloadSignVerify, WorkloadHandshake}[i%2]
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if _, err := Run(Baseline, "P-192", Options{Workload: wl}); err != nil {
+						t.Error(err)
+					}
+				}()
+			}
+			wg.Wait()
 
-	s := reg.Snapshot()
-	for _, ph := range profileOrder {
-		if got := s.Histograms["sim.profile."+ph].Count; got != 1 {
-			t.Errorf("%s profiled %d times, want 1", ph, got)
-		}
-	}
-	// 4 sign-verify Runs look up 2 phases, 4 handshakes 4: 24 lookups.
-	if h, m := CensusMemoStats(); h != 20 || m != 4 {
-		t.Errorf("counters = %d hits / %d misses, want 20 / 4", h, m)
+			s := reg.Snapshot()
+			for _, ph := range profileOrder {
+				if got := s.Histograms["sim.profile."+ph].Count; got != 1 {
+					t.Errorf("%s profiled %d times, want 1", ph, got)
+				}
+			}
+			// 4 sign-verify Runs look up 2 phases, 4 handshakes 4: 24 lookups.
+			if h, m := CensusMemoStats(); h != 20 || m != 4 {
+				t.Errorf("counters = %d hits / %d misses, want 20 / 4", h, m)
+			}
+		})
 	}
 }
 
 // TestCensusMemoWarmUp pins the warm-up contract a sweep relies on:
-// warming every workload of a curve is one profile pass over all four
-// phases, a second warm-up profiles nothing, a disabled memo warms
-// nothing, and warm-up moves no counter, so after the Runs that serve
-// the warmed entries hits + misses equals their phase lookups and
-// misses equals the entries profiled, as if the Runs had missed.
+// filling every workload's phases on a curve is one profile pass over
+// all four phases, a second fill profiles nothing, and a fill moves no
+// counter, so after the Runs that serve the filled entries hits + misses
+// equals their phase lookups and misses equals the entries profiled, as
+// if the Runs had missed. WarmCensuses skips an unknown curve or
+// workload, leaving it to the Run that serves it.
 func TestCensusMemoWarmUp(t *testing.T) {
 	ResetCensusMemo()
 	defer ResetCensusMemo()
@@ -376,12 +363,10 @@ func TestCensusMemoWarmUp(t *testing.T) {
 	}
 	all := Workloads()
 	for range 2 {
-		if err := censuses.warm("P-192", all, counting); err != nil {
-			t.Fatal(err)
-		}
+		censuses.fill("P-192", workloadPhases(all), counting)
 	}
 	if want := [][]string{profileOrder}; !reflect.DeepEqual(passes, want) {
-		t.Fatalf("two warm-ups of every workload profiled %v, want the single pass %v", passes, want)
+		t.Fatalf("two fills of every workload profiled %v, want the single pass %v", passes, want)
 	}
 	if h, m := CensusMemoStats(); h != 0 || m != 0 {
 		t.Errorf("warm-up moved the counters: %d hits / %d misses", h, m)
@@ -414,20 +399,9 @@ func TestCensusMemoWarmUp(t *testing.T) {
 	}
 
 	ResetCensusMemo()
-	DisableCensusMemo(true)
-	defer DisableCensusMemo(false)
-	passes = nil
-	if err := censuses.warm("P-192", all, counting); err != nil {
-		t.Fatal(err)
-	}
-	if len(passes) != 0 || CensusMemoLen() != 0 {
-		t.Errorf("warm-up with the memo off profiled %v and left %d entries, want nothing", passes, CensusMemoLen())
-	}
-
-	for _, c := range []struct{ curve, workload string }{{"X-1", WorkloadKeyGen}, {"P-192", "tls13"}} {
-		if err := WarmCensus(c.curve, []string{c.workload}); err == nil {
-			t.Errorf("WarmCensus(%s, %s) succeeded, want an error", c.curve, c.workload)
-		}
+	WarmCensuses(map[string][]string{"X-1": {WorkloadKeyGen}, "P-192": {"tls13"}}, 0)
+	if n := CensusMemoLen(); n != 0 {
+		t.Errorf("warming an unknown curve and workload left %d entries, want none", n)
 	}
 }
 

@@ -11,14 +11,15 @@ import (
 // the hot-path roadmap needs it:
 //
 //	sim.profile.<phase>  — functional crypto execution + op census
-//	                       (recorded only when the census memo misses:
-//	                       a census depends only on (curve, phase), so
-//	                       one profile run serves hundreds of pricings)
+//	                       (recorded only when the census memo fills an
+//	                       entry: a census depends only on (curve, phase),
+//	                       so one profile run serves hundreds of pricings)
 //	sim.price.<phase>    — census → cycles/events pricing
 //	sim.assemble         — cache model + energy/power assembly per run
 //	sim.run              — whole Run call
-//	sim.census.hits      — phases served from the memo (counter)
-//	sim.census.misses    — (curve, phase) entries profiled (counter)
+//	sim.census.hits      — later serves of a good memo entry (counter)
+//	sim.census.misses    — first serves of a (curve, phase) entry, one
+//	                       per entry profiled (counter)
 //
 // Timing is carried entirely out-of-band: nothing here touches
 // sim.Result, so instrumented and uninstrumented runs produce
