@@ -20,9 +20,8 @@
 //	dse -sweep -adaptive                 # Pareto-guided exploration: the per-level
 //	                                     # frontiers without pricing the whole grid
 //	dse -sweep -stats                    # where the time went: census vs pricing,
-//	                                     # sweep stages, counters
+//	                                     # expansion, sweep stages
 //	dse -all -stats                      # the same for every table and figure
-//	dse -sweep -trace run.jsonl          # append a JSONL journal of the run's stages
 //
 // With -cache-dir a sweep persists every priced configuration in one
 // store; a later sweep in a fresh process is served from it and, when
@@ -68,8 +67,7 @@ func main() {
 
 		adaptive = flag.Bool("adaptive", false, "with -sweep: adaptive Pareto-guided exploration — refine around the live per-security-level frontiers instead of pricing the whole grid")
 
-		stats     = flag.Bool("stats", false, "after a -sweep, -arch or -all run: print collected telemetry (per-phase census-vs-pricing split, sweep stage timing, cache counters)")
-		traceFile = flag.String("trace", "", "with -sweep: append one JSON event per run stage (sweep start/point/load/flush/end, adaptive rounds) to this file")
+		stats = flag.Bool("stats", false, "after a -sweep, -arch or -all run: print collected telemetry (per-phase census-vs-pricing split, sweep stage timing, cache counters)")
 	)
 	// Every design-space flag is generated from the dse axis registry:
 	// the dimension selectors (-arch, -curve) from the dimension axes,
@@ -105,8 +103,7 @@ func main() {
 		exp: *exp, arch: *arch,
 		workload: workload, curves: *curves, adaptive: *adaptive,
 		jsonOut: *jsonOut, pareto: *pareto,
-		workers: *workers, stats: *stats,
-		traceFile: *traceFile, cacheDir: *cacheDir,
+		workers: *workers, stats: *stats, cacheDir: *cacheDir,
 		axisFlags: axisFlags,
 	}); msg != "" {
 		fmt.Fprintln(os.Stderr, msg)
@@ -128,7 +125,7 @@ func main() {
 		err := runSweep(sweepConfig{
 			workers: *workers, paretoOnly: *pareto, jsonOut: *jsonOut,
 			cacheDir: *cacheDir, workloads: workload, curves: *curves,
-			stats: *stats, traceFile: *traceFile, adaptive: *adaptive,
+			stats: *stats, adaptive: *adaptive,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -148,7 +145,7 @@ func main() {
 		fmt.Print(out)
 		if reg != nil {
 			fmt.Println()
-			printStats(os.Stdout, reg, 0)
+			printStats(os.Stdout, reg, 0, nil)
 		}
 	case *exp != "":
 		out, err := repro.Experiment(*exp)
@@ -183,7 +180,7 @@ func main() {
 		printResult(r)
 		if reg != nil {
 			fmt.Println()
-			printStats(os.Stdout, reg, 0)
+			printStats(os.Stdout, reg, 0, nil)
 		}
 	default:
 		flag.Usage()
@@ -198,20 +195,19 @@ type sweepConfig struct {
 	cacheDir, workloads string
 	curves              string
 	stats               bool
-	traceFile           string
 	adaptive            bool
 }
 
 // cliFlags captures the parsed flag state the coherence rules inspect.
 type cliFlags struct {
-	list, sweep, all    bool
-	exp, arch           string
-	workload, curves    string
-	adaptive            bool
-	jsonOut, pareto     bool
-	workers             int
-	stats               bool
-	traceFile, cacheDir string
+	list, sweep, all bool
+	exp, arch        string
+	workload, curves string
+	adaptive         bool
+	jsonOut, pareto  bool
+	workers          int
+	stats            bool
+	cacheDir         string
 	// axisFlags are the non-workload design-space flags set on the
 	// command line (they configure a single -arch run only).
 	axisFlags []string
@@ -250,8 +246,6 @@ func conflictError(c cliFlags) string {
 			return "-json, -pareto and -workers apply to -sweep only"
 		case c.stats && c.arch == "" && !c.all:
 			return "-stats applies to -sweep, -arch and -all runs only"
-		case c.traceFile != "":
-			return "-trace applies to -sweep only"
 		case c.cacheDir != "":
 			return "-cache-dir applies to -sweep only"
 		}
@@ -283,27 +277,6 @@ func axisValueError(fs *flag.FlagSet) string {
 	return msg
 }
 
-// openJournal opens (or creates) a run-journal file in append mode so
-// successive sweeps (a cold run, then warm re-runs) can share one trace,
-// returning a nil journal (whose Emit is a no-op) when no file was
-// requested.
-func openJournal(path string) (*repro.RunJournal, func(), error) {
-	if path == "" {
-		return nil, func() {}, nil
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("open -trace file: %w", err)
-	}
-	j := repro.NewRunJournal(f)
-	return j, func() {
-		if err := j.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "warning: run journal incomplete: %v\n", err)
-		}
-		f.Close()
-	}, nil
-}
-
 // runSweep explores the full design space, exhaustively or adaptively,
 // and prints either the whole point cloud or just its Pareto frontier,
 // as text or JSON.
@@ -330,12 +303,6 @@ func runSweep(cfg sweepConfig) error {
 		repro.EnableSimMetrics(reg)
 		opt.Metrics = reg
 	}
-	journal, closeJournal, err := openJournal(cfg.traceFile)
-	if err != nil {
-		return err
-	}
-	defer closeJournal()
-	opt.Journal = journal
 
 	var (
 		res *repro.SweepResult
@@ -427,7 +394,13 @@ func runSweep(cfg sweepConfig) error {
 		} else {
 			fmt.Println()
 		}
-		printStats(w, reg, total)
+		// The expansion line describes an exhaustive sweep's grid; an
+		// adaptive run prices only part of it.
+		swept := res
+		if ar != nil {
+			swept = nil
+		}
+		printStats(w, reg, total, swept)
 	}
 	return nil
 }

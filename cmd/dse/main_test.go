@@ -31,7 +31,6 @@ func TestConflictError(t *testing.T) {
 		{"json-no-sweep", cliFlags{arch: "monte", jsonOut: true}, "apply to -sweep only"},
 		{"stats-alone", cliFlags{stats: true}, "-stats applies to -sweep, -arch and -all runs only"},
 		{"stats-exp", cliFlags{exp: "fig7.1", stats: true}, "-stats applies to -sweep, -arch and -all runs only"},
-		{"trace-alone", cliFlags{traceFile: "t.jsonl"}, "-trace applies to -sweep only"},
 		{"cache-dir-alone", cliFlags{cacheDir: ".dse"}, "-cache-dir applies to -sweep only"},
 
 		// An -arch run rejects an axis flag its architecture ignores.
@@ -157,7 +156,10 @@ func TestParseNames(t *testing.T) {
 // hand-built registry: the census memo line (bench/ reads it with a
 // regexp) and the "sweep stages" line rendered from the registry's
 // stage histograms and byte counters. A registry without sweep
-// histograms (an -arch run) prints no "sweep stages" section.
+// histograms (an -arch run) prints no "sweep stages" section. The
+// "expansion" line is rendered from a hand-built SweepResult. Counts
+// live in the result, so no generic counter or gauge dump and no
+// adaptive line (the run's header) is printed.
 func TestPrintStats(t *testing.T) {
 	arch := repro.NewMetrics()
 	arch.Histogram("sim.profile.sign").Observe(20 * time.Millisecond)
@@ -165,13 +167,26 @@ func TestPrintStats(t *testing.T) {
 	arch.Counter("sim.census.hits").Add(1040)
 	arch.Counter("sim.census.misses").Add(20)
 	var b strings.Builder
-	printStats(&b, arch, 0)
+	printStats(&b, arch, 0, nil)
 	out := b.String()
 	if !strings.Contains(out, "\n  census memo: 1040 hits / 20 misses (each miss = one profiled (curve, phase) census)\n") {
 		t.Errorf("census memo line missing or reworded:\n%s", out)
 	}
 	if strings.Contains(out, "sweep stages") {
 		t.Errorf("registry without sweep histograms printed a sweep stages section:\n%s", out)
+	}
+	if strings.Contains(out, "expansion:") {
+		t.Errorf("a run without a sweep result printed an expansion line:\n%s", out)
+	}
+
+	// The full grid: 384000 raw points, 76800 of them on an invalid
+	// (arch, curve) pair, and 530 unique configurations.
+	full := &repro.SweepResult{Spec: repro.FullSweepSpec(), RawPoints: 384000, Configs: 530}
+	b.Reset()
+	printStats(&b, arch, 90*time.Millisecond, full)
+	out = b.String()
+	if want := "\nexpansion: 384000 raw grid points -> 530 unique configs (725x collapse; 76800 pruned, 306670 deduplicated)\n"; !strings.Contains(out, want) {
+		t.Errorf("-stats output lacks %q:\n%s", want, out)
 	}
 
 	sweep := repro.NewMetrics()
@@ -184,7 +199,7 @@ func TestPrintStats(t *testing.T) {
 	sweep.Counter("store.flush.bytes").Add(1234)
 	sweep.Histogram("sweep.point.cached").Observe(time.Microsecond)
 	b.Reset()
-	printStats(&b, sweep, 90*time.Millisecond)
+	printStats(&b, sweep, 90*time.Millisecond, nil)
 	out = "\n" + b.String() // every pinned line starts after a newline
 	for _, want := range []string{
 		"\nsweep stages:\n  total 0.090s  expand 0.003s  fingerprint 0.040s  load 0.008s (495000 B)  flush 0.005s (1234 B)\n",
@@ -196,5 +211,10 @@ func TestPrintStats(t *testing.T) {
 	}
 	if strings.Contains(out, "simulated points") {
 		t.Errorf("no simulated points, but -stats renders a simulated line:\n%s", out)
+	}
+	for _, gone := range []string{"\ncounters:", "\ngauges:", "\nadaptive exploration:"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("-stats prints a %q section that restates the run's result:\n%s", gone[1:], out)
+		}
 	}
 }

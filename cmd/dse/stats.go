@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"maps"
 	"slices"
 	"strings"
 	"time"
@@ -12,12 +11,12 @@ import (
 )
 
 // printStats renders the telemetry collected during a run: the
-// simulator's census-vs-pricing split per workload phase, the sweep's
-// stage timing when one ran (total is its wall time, zero for an -arch
-// run), the registry's remaining counters and gauges, and the
-// process-wide result cache. The writer is stderr in -json mode so
-// machine-readable stdout stays pure JSON.
-func printStats(w io.Writer, reg *repro.Metrics, total time.Duration) {
+// simulator's census-vs-pricing split per workload phase, the expansion
+// economics of an exhaustive sweep's result (nil for any other run),
+// the sweep's stage timing when one ran (total is its wall time, zero
+// for an -arch run), and the process-wide result cache. The writer is
+// stderr in -json mode so machine-readable stdout stays pure JSON.
+func printStats(w io.Writer, reg *repro.Metrics, total time.Duration, res *repro.SweepResult) {
 	s := reg.Snapshot()
 
 	// The per-phase split: census is the functionally-verified crypto
@@ -52,22 +51,12 @@ func printStats(w io.Writer, reg *repro.Metrics, total time.Duration) {
 	}
 
 	// Expansion economics: how much of the raw cross-product the
-	// relevance-factored expansion never had to enumerate.
-	if raw := s.Counters["dse.expand.raw"]; raw > 0 {
-		unique := s.Counters["dse.expand.unique"]
+	// relevance-factored expansion never had to enumerate. Raw − pruned
+	// − unique is what canonical deduplication collapsed.
+	if res != nil {
+		raw, unique, pruned := res.RawPoints, res.Configs, res.Spec.PrunedPoints()
 		fmt.Fprintf(w, "expansion: %d raw grid points -> %d unique configs (%.0fx collapse; %d pruned, %d deduplicated)\n",
-			raw, unique, float64(raw)/float64(max(unique, 1)),
-			s.Counters["dse.expand.pruned"], s.Counters["dse.expand.deduped"])
-	}
-
-	// Adaptive-exploration economics: how much of the grid the
-	// frontier-guided refinement actually priced.
-	if rounds := s.Counters["dse.adaptive.rounds"]; rounds > 0 {
-		grid := s.Gauges["dse.adaptive.grid"]
-		eval := s.Counters["dse.adaptive.evaluated"]
-		fmt.Fprintf(w, "adaptive exploration: %d/%d grid configs evaluated (%.0f%%) in %d rounds (%d pruned, %d frontier moves)\n",
-			eval, grid, 100*float64(eval)/float64(max(grid, 1)), rounds,
-			s.Counters["dse.adaptive.pruned"], s.Counters["dse.adaptive.frontier_moves"])
+			raw, unique, float64(raw)/float64(max(unique, 1)), pruned, raw-pruned-unique)
 	}
 
 	// A sweep's stage timings, read back from the registry: the
@@ -91,19 +80,6 @@ func printStats(w io.Writer, reg *repro.Metrics, total time.Duration) {
 		if h := s.Histograms["sweep.point.cached"]; h.Count > 0 {
 			fmt.Fprintf(w, "  cached points:    %d (p50 %.3fms, p95 %.3fms, max %.3fms)\n",
 				h.Count, h.P50S*1e3, h.P95S*1e3, h.MaxS*1e3)
-		}
-	}
-
-	if len(s.Counters) > 0 {
-		fmt.Fprintln(w, "counters:")
-		for _, name := range slices.Sorted(maps.Keys(s.Counters)) {
-			fmt.Fprintf(w, "  %-24s %d\n", name, s.Counters[name])
-		}
-	}
-	if len(s.Gauges) > 0 {
-		fmt.Fprintln(w, "gauges:")
-		for _, name := range slices.Sorted(maps.Keys(s.Gauges)) {
-			fmt.Fprintf(w, "  %-24s %d\n", name, s.Gauges[name])
 		}
 	}
 

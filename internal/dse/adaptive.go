@@ -63,8 +63,7 @@ type AdaptiveResult struct {
 
 // AdaptiveSweep runs the coarse-to-fine Pareto-guided exploration of a
 // spec. The options are the same as Sweep's (workers, cache, disk
-// store, metrics, journal); journal point events number each round's
-// own candidates.
+// store, metrics).
 func AdaptiveSweep(spec SweepSpec, opt SweepOptions) (*AdaptiveResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -92,10 +91,6 @@ func AdaptiveSweep(spec SweepSpec, opt SweepOptions) (*AdaptiveResult, error) {
 		expand.Observe(time.Since(run.start))
 	}
 
-	opt.Journal.Emit("adaptive_start", map[string]any{
-		"grid": grid, "coarse": len(st.cands),
-	})
-
 	var (
 		points     []Point
 		byKey      = make(map[string]Point, len(st.cands))
@@ -103,78 +98,40 @@ func AdaptiveSweep(spec SweepSpec, opt SweepOptions) (*AdaptiveResult, error) {
 		prevFinger string
 		rounds     int
 		moves      int
-		err        error
 	)
 	for len(st.cands) > 0 {
 		cands := st.cands
 		st.cands = nil
 
-		roundStart := time.Now()
-		var batch []Point
-		batch, err = run.price(cands)
-		round := rounds
-		rounds++
+		batch, err := run.price(cands)
 		if err != nil {
-			opt.Journal.Emit("adaptive_round", map[string]any{
-				"round": round, "candidates": len(cands), "error": err.Error(),
-			})
-			break
+			return nil, err
 		}
+		rounds++
 		points = append(points, batch...)
 		for _, p := range batch {
 			byKey[p.Config.Key()] = p
 		}
 
-		newFront := ParetoPerLevel(points)
-		finger := frontierFingerprint(newFront)
-		moved := finger != prevFinger
-		frontiers, prevFinger = newFront, finger
-		prunedBefore := st.pruned
-		if moved {
-			moves++
-			genStart := time.Now()
-			st.observePrunes(points, byKey)
-			for _, lf := range frontiers {
-				for _, p := range lf.Points {
-					st.neighborsOf(p.Config)
-				}
-			}
-			if expand != nil {
-				expand.Observe(time.Since(genStart))
-			}
-		}
-		if m := opt.Metrics; m != nil {
-			m.Counter("dse.adaptive.rounds").Inc()
-			m.Counter("dse.adaptive.evaluated").Add(int64(len(cands)))
-			m.Counter("dse.adaptive.pruned").Add(int64(st.pruned - prunedBefore))
-			if moved {
-				m.Counter("dse.adaptive.frontier_moves").Inc()
-			}
-		}
-		opt.Journal.Emit("adaptive_round", map[string]any{
-			"round": round, "candidates": len(cands), "evaluated": run.configs,
-			"frontierPoints": frontierPoints(frontiers), "moved": moved,
-			"pruned": st.pruned, "seconds": time.Since(roundStart).Seconds(),
-		})
-		if !moved {
+		frontiers = ParetoPerLevel(points)
+		finger := frontierFingerprint(frontiers)
+		if finger == prevFinger {
 			break
+		}
+		prevFinger = finger
+		moves++
+		genStart := time.Now()
+		st.observePrunes(points, byKey)
+		for _, lf := range frontiers {
+			for _, p := range lf.Points {
+				st.neighborsOf(p.Config)
+			}
+		}
+		if expand != nil {
+			expand.Observe(time.Since(genStart))
 		}
 	}
 
-	if opt.Metrics != nil {
-		opt.Metrics.Gauge("dse.adaptive.grid").Set(int64(grid))
-	}
-	end := map[string]any{
-		"rounds": rounds, "evaluated": run.configs, "grid": grid,
-		"pruned": st.pruned, "frontierPoints": frontierPoints(frontiers),
-	}
-	if err != nil {
-		end["error"] = err.Error()
-	}
-	opt.Journal.Emit("adaptive_end", end)
-	if err != nil {
-		return nil, err
-	}
 	return &AdaptiveResult{
 		Result:        run.result(spec, points),
 		Frontiers:     frontiers,
@@ -184,15 +141,6 @@ func AdaptiveSweep(spec SweepSpec, opt SweepOptions) (*AdaptiveResult, error) {
 		Pruned:        st.pruned,
 		FrontierMoves: moves,
 	}, nil
-}
-
-// frontierPoints counts the points across per-level frontiers.
-func frontierPoints(fs []LevelFrontier) int {
-	n := 0
-	for _, lf := range fs {
-		n += len(lf.Points)
-	}
-	return n
 }
 
 // adaptiveState is the bookkeeping one exploration carries across

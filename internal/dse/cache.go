@@ -70,9 +70,9 @@ func (c *Cache) lookup(hash string) (sim.Result, bool) {
 //
 // Error entries are remembered (GetOrRun re-serves a failed config's
 // error without re-running it) but never counted as hits: hits count
-// only successful results served from cache, matching lookup and the
-// journal's per-point cached flag. The one miss
-// a failing config costs is the run that discovered the error.
+// only successful results served from cache, matching lookup and a
+// sweep's per-point hit tally. The one miss a failing config costs is
+// the run that discovered the error.
 func (c *Cache) Stats() (hits, misses uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -12,8 +12,8 @@ import (
 // failed configuration is remembered (the simulation never re-runs) and
 // its error re-served, but a remembered error is neither a hit nor a
 // fresh miss — hits count only successful results served from cache, so
-// SweepResult accounting, the journal's cached flags and -progress
-// tallies stay truthful.
+// SweepResult accounting and the sweep.point.cached histogram stay
+// truthful.
 func TestCacheErrorEntriesNotHits(t *testing.T) {
 	c := NewCache()
 	bad := Config{Arch: sim.WithMonte, Curve: "B-163"} // prime accel, binary curve

@@ -22,7 +22,7 @@
 // specification order regardless of the worker count, so two sweeps of the
 // same spec are byte-identical. AdaptiveSweep finds the per-level
 // frontiers while pricing a fraction of the grid, through the same
-// observed execution core (cache, store, journal, metrics) as Sweep.
+// observed execution core (cache, store, metrics) as Sweep.
 //
 // Every axis — the arch and curve dimensions as much as the option
 // knobs — is declared once in the axis registry (axes.go):

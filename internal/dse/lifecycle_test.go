@@ -2,7 +2,6 @@ package dse
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"maps"
 	"os"
@@ -31,12 +30,10 @@ func lifecycleSpec() SweepSpec {
 
 // TestSweepLifecycle pins everything a sweep reports about itself, for
 // a cold and then a warm Sweep and AdaptiveSweep over a persistent store
-// with Metrics and Journal attached:
-//   - the journal event stream, with the timing fields (t, seconds)
-//     dropped and the store directory normalized;
+// with Metrics attached:
 //   - every SweepResult field (points by key here; their values must
 //     equal an uninstrumented run's);
-//   - the registry's final counters, gauges and histogram counts.
+//   - the registry's final counters and histogram counts.
 //
 // The registry must split every evaluated point into exactly one of
 // its simulate/cached histograms. Regenerate with
@@ -69,25 +66,9 @@ func TestSweepLifecycle(t *testing.T) {
 
 		dir := t.TempDir()
 		for _, phase := range []string{"cold", "warm"} {
-			var journal bytes.Buffer
 			reg := telemetry.New()
-			res, ar := run(SweepOptions{
-				Workers: 2, Cache: NewCache(), CacheDir: dir, Metrics: reg,
-				Journal: telemetry.NewJournal(&journal),
-			})
+			res, ar := run(SweepOptions{Workers: 2, Cache: NewCache(), CacheDir: dir, Metrics: reg})
 			fmt.Fprintf(&b, "== %s %s\n", mode, phase)
-
-			b.WriteString("journal:\n")
-			for _, line := range strings.Split(strings.TrimSpace(journal.String()), "\n") {
-				var ev map[string]any
-				if err := json.Unmarshal([]byte(line), &ev); err != nil {
-					t.Fatalf("journal line %q: %v", line, err)
-				}
-				delete(ev, "t")
-				delete(ev, "seconds")
-				out, _ := json.Marshal(ev)
-				fmt.Fprintf(&b, "  %s\n", strings.ReplaceAll(string(out), dir, "$DIR"))
-			}
 
 			if !reflect.DeepEqual(res.Spec, spec) {
 				t.Errorf("%s %s: result spec %+v, want %+v", mode, phase, res.Spec, spec)
@@ -118,9 +99,6 @@ func TestSweepLifecycle(t *testing.T) {
 			b.WriteString("metrics:\n")
 			for _, k := range slices.Sorted(maps.Keys(s.Counters)) {
 				fmt.Fprintf(&b, "  counter %s=%d\n", k, s.Counters[k])
-			}
-			for _, k := range slices.Sorted(maps.Keys(s.Gauges)) {
-				fmt.Fprintf(&b, "  gauge %s=%d\n", k, s.Gauges[k])
 			}
 			for _, k := range slices.Sorted(maps.Keys(s.Histograms)) {
 				fmt.Fprintf(&b, "  histogram %s count=%d\n", k, s.Histograms[k].Count)

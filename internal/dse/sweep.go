@@ -25,19 +25,14 @@ type SweepOptions struct {
 	// afterwards, so repeating a sweep is near-free even across process
 	// restarts.
 	CacheDir string
-	// Metrics, when non-nil, records sweep telemetry into the registry:
-	// per-point simulate-vs-cached durations, expansion, census warm-up,
-	// and store fingerprint/load/flush timing. Telemetry is carried
+	// Metrics, when non-nil, records what the returned result does not
+	// carry: per-point simulate-vs-cached durations, the expansion and
+	// census warm-up stages, store fingerprint/load/flush timing and the
+	// store's byte sizes. Counts (configurations, cache hits, store
+	// entries) live in the result only. Telemetry is carried
 	// out-of-band: results, keys, hashes and store bytes are identical
 	// with and without it.
 	Metrics *telemetry.Registry
-	// Journal, when non-nil, receives one JSONL lifecycle event per
-	// sweep stage: sweep_start, store_load, one point event per
-	// configuration in specification order (with duration, cache-hit
-	// flag, and the error for a failed point), store_flush (including
-	// the partial flush of a failed sweep), and sweep_end. Best-effort:
-	// journal write errors never fail the sweep (check Journal.Err).
-	Journal *telemetry.Journal
 }
 
 // SweepResult is the outcome of exploring one SweepSpec.
@@ -76,35 +71,10 @@ func Sweep(spec SweepSpec, opt SweepOptions) (*SweepResult, error) {
 	}
 	run := newSweepRun(opt)
 	cfgs := spec.Expand()
-	expand := time.Since(run.start)
-	// Expansion economics: raw − pruned − unique is what canonical
-	// deduplication collapsed.
-	raw, pruned, unique := spec.RawPoints(), spec.PrunedPoints(), len(cfgs)
-	deduped := raw - pruned - unique
 	if m := opt.Metrics; m != nil {
-		m.Histogram("sweep.expand").Observe(expand)
-		m.Counter("dse.expand.raw").Add(int64(raw))
-		m.Counter("dse.expand.pruned").Add(int64(pruned))
-		m.Counter("dse.expand.deduped").Add(int64(deduped))
-		m.Counter("dse.expand.unique").Add(int64(unique))
+		m.Histogram("sweep.expand").Observe(time.Since(run.start))
 	}
-	opt.Journal.Emit("sweep_start", map[string]any{
-		"configs": len(cfgs), "rawPoints": raw, "workers": run.poolWidth(len(cfgs)),
-		"pruned": pruned, "deduped": deduped, "unique": unique,
-	})
-
 	points, err := run.price(cfgs)
-	if opt.Metrics != nil {
-		opt.Metrics.Counter("sweep.runs").Inc()
-	}
-	end := map[string]any{
-		"configs": len(cfgs), "cacheHits": run.hits, "cacheMisses": run.misses,
-		"seconds": time.Since(run.start).Seconds(),
-	}
-	if err != nil {
-		end["error"] = err.Error()
-	}
-	opt.Journal.Emit("sweep_end", end)
 	if err != nil {
 		return nil, err
 	}
@@ -157,9 +127,8 @@ func (r *sweepRun) poolWidth(n int) int {
 // price evaluates one batch of expanded configurations on the worker
 // pool: store load (before the first batch only: later batches would
 // re-read what the last flush wrote), census warm-up, cached-or-simulated
-// pricing, the batch's journal point events in input order, and store
-// flush. It returns the batch's points in input order, or the first
-// failure. Journal point events number the batch's own points.
+// pricing, and store flush. It returns the batch's points in input
+// order, or the first failure.
 func (r *sweepRun) price(cfgs []Config) ([]Point, error) {
 	opt := r.opt
 	workers := r.poolWidth(len(cfgs))
@@ -170,15 +139,10 @@ func (r *sweepRun) price(cfgs []Config) ([]Point, error) {
 	}
 	r.workers = max(r.workers, workers)
 	r.configs += len(cfgs)
-	if m := opt.Metrics; m != nil {
-		m.Gauge("sweep.configs").Set(int64(r.configs))
-		m.Gauge("sweep.workers").Set(int64(workers))
-	}
 	r.warm(cfgs, workers)
 
 	points := make([]Point, len(cfgs))
 	errs := make([]error, len(cfgs))
-	durNS := make([]int64, len(cfgs))
 	cached := make([]bool, len(cfgs))
 
 	jobs := make(chan int)
@@ -191,14 +155,13 @@ func (r *sweepRun) price(cfgs []Config) ([]Point, error) {
 				cfg := cfgs[i]
 				pointStart := time.Now()
 				res, hit, err := r.cache.GetOrRun(cfg)
-				d := time.Since(pointStart)
-				durNS[i], cached[i] = int64(d), hit
+				cached[i] = hit
 				if m := opt.Metrics; m != nil {
 					name := "sweep.point.simulate"
 					if hit {
 						name = "sweep.point.cached"
 					}
-					m.Histogram(name).Observe(d)
+					m.Histogram(name).Observe(time.Since(pointStart))
 				}
 				if err != nil {
 					errs[i] = fmt.Errorf("dse: %s: %w", cfg.Key(), err)
@@ -215,11 +178,11 @@ func (r *sweepRun) price(cfgs []Config) ([]Point, error) {
 	wg.Wait()
 
 	// The batch's outcomes are read back in input order: the hit/miss
-	// tally, the first failure, and the journal's point events, which
-	// are therefore deterministic for any worker count.
+	// tally and the first failure, which is therefore deterministic for
+	// any worker count.
 	var hits, misses uint64
 	var sweepErr error
-	for i, cfg := range cfgs {
+	for i := range cfgs {
 		if cached[i] {
 			hits++
 		} else {
@@ -228,23 +191,9 @@ func (r *sweepRun) price(cfgs []Config) ([]Point, error) {
 		if sweepErr == nil {
 			sweepErr = errs[i]
 		}
-		if opt.Journal != nil {
-			f := map[string]any{
-				"i": i + 1, "of": len(cfgs), "key": cfg.Key(),
-				"cached": cached[i], "seconds": float64(durNS[i]) / 1e9,
-			}
-			if errs[i] != nil {
-				f["error"] = errs[i].Error()
-			}
-			opt.Journal.Emit("point", f)
-		}
 	}
 	r.hits += hits
 	r.misses += misses
-	if m := opt.Metrics; m != nil {
-		m.Counter("sweep.points.simulated").Add(int64(misses))
-		m.Counter("sweep.points.cached").Add(int64(hits))
-	}
 	if flushErr := r.flush(sweepErr != nil, misses == 0); flushErr != nil {
 		if sweepErr == nil {
 			return nil, flushErr
@@ -317,18 +266,13 @@ func (r *sweepRun) load(workers int) error {
 	r.diskLoaded = n
 	r.storeSynced = r.cache.Len() == n
 	// A cold sweep has no store yet; LoadFile treats that as zero
-	// entries, and the journal/metrics skip it too rather than record a
-	// phantom load.
-	if size := fileSize(path); n > 0 || size > 0 {
-		d := time.Since(start)
-		if m != nil {
-			m.Histogram("store.load").Observe(d)
-			m.Counter("store.load.entries").Add(int64(n))
+	// entries, and the metrics skip it too rather than record a phantom
+	// load.
+	if m != nil {
+		if size := fileSize(path); n > 0 || size > 0 {
+			m.Histogram("store.load").Observe(time.Since(start))
 			m.Counter("store.load.bytes").Add(size)
 		}
-		r.opt.Journal.Emit("store_load", map[string]any{
-			"path": path, "entries": n, "seconds": d.Seconds(), "bytes": size,
-		})
 	}
 	return nil
 }
@@ -342,37 +286,21 @@ func (r *sweepRun) flush(failed, allHits bool) error {
 	if r.opt.CacheDir == "" {
 		return nil
 	}
-	path := DiskCachePath(r.opt.CacheDir)
 	// When the store already satisfied the whole batch and the
 	// in-memory cache holds nothing beyond what it served, the flush
 	// would rewrite identical bytes — skip it and report an unchanged
 	// store (not a phantom save).
 	if !failed && allHits && r.storeSynced {
 		r.flushSkips++
-		r.opt.Journal.Emit("store_flush", map[string]any{
-			"path": path, "entries": 0, "unchanged": true,
-		})
 		return nil
 	}
+	path := DiskCachePath(r.opt.CacheDir)
 	start := time.Now()
 	n, err := r.cache.SaveFile(path)
-	d := time.Since(start)
-	size := fileSize(path)
 	if m := r.opt.Metrics; m != nil {
-		m.Histogram("store.flush").Observe(d)
-		m.Counter("store.flush.entries").Add(int64(n))
-		m.Counter("store.flush.bytes").Add(size)
+		m.Histogram("store.flush").Observe(time.Since(start))
+		m.Counter("store.flush.bytes").Add(fileSize(path))
 	}
-	f := map[string]any{"path": path, "entries": n, "seconds": d.Seconds(), "bytes": size}
-	if failed {
-		// A failed sweep still flushes its completed points; the
-		// journal records that partial flush explicitly.
-		f["partial"] = true
-	}
-	if err != nil {
-		f["error"] = err.Error()
-	}
-	r.opt.Journal.Emit("store_flush", f)
 	if err != nil {
 		return err
 	}

@@ -245,7 +245,10 @@ func TestFullSweepShape(t *testing.T) {
 
 // TestSweepFlushesPartialResultsOnError is the regression test for the
 // flush-on-error bug: a sweep that dies on its final configuration must
-// still persist every earlier result, not discard the whole run.
+// still persist every earlier result, not discard the whole run. An
+// adaptive exploration fails the same way in its first round, whose
+// coarse seed is the whole of this spec's grid (both widths are
+// endpoints).
 func TestSweepFlushesPartialResultsOnError(t *testing.T) {
 	spec := diskSpec()
 	cfgs := spec.Expand()
@@ -254,36 +257,47 @@ func TestSweepFlushesPartialResultsOnError(t *testing.T) {
 	}
 	last := cfgs[len(cfgs)-1]
 
-	// Poison the final configuration so the sweep fails exactly there.
-	cache := NewCache()
-	boom := errors.New("injected simulator failure")
-	cache.mu.Lock()
-	cache.m[last.Hash()] = cacheEntry{err: boom}
-	cache.mu.Unlock()
+	for _, mode := range []struct {
+		name  string
+		sweep func(SweepSpec, SweepOptions) error
+	}{
+		{"sweep", func(s SweepSpec, o SweepOptions) error { _, err := Sweep(s, o); return err }},
+		{"adaptive", func(s SweepSpec, o SweepOptions) error { _, err := AdaptiveSweep(s, o); return err }},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			// Poison the final configuration so the sweep fails exactly there.
+			cache := NewCache()
+			boom := errors.New("injected simulator failure")
+			cache.mu.Lock()
+			cache.m[last.Hash()] = cacheEntry{err: boom}
+			cache.mu.Unlock()
 
-	dir := t.TempDir()
-	_, err := Sweep(spec, SweepOptions{Workers: 1, Cache: cache, CacheDir: dir})
-	if !errors.Is(err, boom) {
-		t.Fatalf("sweep error = %v, want the injected failure", err)
-	}
+			dir := t.TempDir()
+			err := mode.sweep(spec, SweepOptions{Workers: 1, Cache: cache, CacheDir: dir})
+			if !errors.Is(err, boom) {
+				t.Fatalf("sweep error = %v, want the injected failure", err)
+			}
 
-	// Every successfully simulated point survived in the store; the
-	// failed config was not persisted and will be retried next run.
-	fresh := NewCache()
-	n, err := fresh.LoadFile(DiskCachePath(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := len(cfgs) - 1; n != want {
-		t.Errorf("store holds %d results after failed sweep, want %d", n, want)
-	}
-	if _, ok := fresh.lookup(last.Hash()); ok {
-		t.Error("failed config was persisted")
-	}
-	for _, cfg := range cfgs[:len(cfgs)-1] {
-		if _, ok := fresh.lookup(cfg.Hash()); !ok {
-			t.Errorf("store lost successfully simulated config %q", cfg.Key())
-		}
+			// Every successfully simulated point survived in the store;
+			// the failed config was not persisted and will be retried
+			// next run.
+			fresh := NewCache()
+			n, err := fresh.LoadFile(DiskCachePath(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := len(cfgs) - 1; n != want {
+				t.Errorf("store holds %d results after failed sweep, want %d", n, want)
+			}
+			if _, ok := fresh.lookup(last.Hash()); ok {
+				t.Error("failed config was persisted")
+			}
+			for _, cfg := range cfgs[:len(cfgs)-1] {
+				if _, ok := fresh.lookup(cfg.Hash()); !ok {
+					t.Errorf("store lost successfully simulated config %q", cfg.Key())
+				}
+			}
+		})
 	}
 }
 

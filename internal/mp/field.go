@@ -341,11 +341,3 @@ func (f *Field) Neg(z, a Int) {
 	}
 	Sub(z, f.P, a)
 }
-
-// Reduce maps an arbitrary k-word value into [0, p).
-func (f *Field) Reduce(z, a Int) {
-	copy(z, a)
-	for Cmp(z, f.P) >= 0 {
-		Sub(z, z, f.P)
-	}
-}

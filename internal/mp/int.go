@@ -204,17 +204,6 @@ func Sub(z, a, b Int) uint32 {
 	return uint32(borrow)
 }
 
-// AddWord sets z = a + w and returns the carry-out.
-func AddWord(z, a Int, w uint32) uint32 {
-	carry := uint64(w)
-	for i := range z {
-		s := uint64(a[i]) + carry
-		z[i] = uint32(s)
-		carry = s >> 32
-	}
-	return uint32(carry)
-}
-
 // Shl1 sets z = x << 1 within the same word count and returns the shifted-out
 // bit.
 func Shl1(z, x Int) uint32 {

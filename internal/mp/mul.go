@@ -116,16 +116,3 @@ func KaratsubaWord(a, b uint32) (hi, lo uint32) {
 	p := hh<<32 + uint64(sum)<<16 + ll
 	return uint32(p >> 32), uint32(p)
 }
-
-// MulWord sets z = a * w + z over len(a) words, returning the final carry
-// word (the classic multiply-accumulate row used by operand scanning).
-func MulWord(z, a Int, w uint32) uint32 {
-	var carry uint64
-	wv := uint64(w)
-	for i := 0; i < len(a); i++ {
-		t := uint64(a[i])*wv + uint64(z[i]) + carry
-		z[i] = uint32(t)
-		carry = t >> 32
-	}
-	return uint32(carry)
-}

@@ -124,17 +124,6 @@ func (r Result) TimeSeconds() float64 {
 	return float64(r.TotalCycles()) / energy.SystemClockHz
 }
 
-// SignSeconds returns the signature wall-clock time at the system clock.
-func (r Result) SignSeconds() float64 {
-	return float64(r.SignCycles()) / energy.SystemClockHz
-}
-
-// VerifySeconds returns the verification wall-clock time at the system
-// clock.
-func (r Result) VerifySeconds() float64 {
-	return float64(r.VerifyCycles()) / energy.SystemClockHz
-}
-
 // IsPrimeCurve reports whether name is a NIST prime curve.
 func IsPrimeCurve(name string) bool { return strings.HasPrefix(name, "P-") }
 
@@ -193,7 +182,6 @@ func Run(arch Arch, curveName string, opt Options) (Result, error) {
 	if reg := metrics(); reg != nil {
 		defer func(start time.Time) {
 			reg.Histogram("sim.run").Observe(time.Since(start))
-			reg.Counter("sim.runs").Inc()
 		}(time.Now())
 	}
 	if !ec.KnownCurve(curveName) {

@@ -1,12 +1,13 @@
 // Package telemetry is the zero-dependency observability substrate
-// behind dse -stats and -trace: a race-safe metrics registry (counters,
-// gauges, log-bucketed latency histograms) with a JSON snapshot, and a
-// JSONL run-journal writer.
+// behind dse -stats: a race-safe metrics registry (counters and
+// log-bucketed latency histograms) with a JSON snapshot. It records
+// what a sweep's returned result does not carry: stage timings, the
+// store's byte sizes and the simulator's census-memo counts.
 //
 // Everything here is carried out-of-band of the simulation results:
-// metrics and journal events never enter config keys, hashes, disk
-// stores or golden-pinned output, so instrumented and uninstrumented
-// runs produce bit-identical results.
+// metrics never enter config keys, hashes, disk stores or
+// golden-pinned output, so instrumented and uninstrumented runs
+// produce bit-identical results.
 package telemetry
 
 import (
@@ -30,19 +31,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is an instantaneous level (worker-pool occupancy, entry counts,
-// byte sizes). The zero value is ready to use.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the level.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add moves the level by n (negative to decrement).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current level.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // histBuckets is one bucket per power-of-two nanosecond magnitude:
 // bucket 0 holds zero-duration observations, bucket i>0 holds durations
@@ -130,13 +118,12 @@ func bucketQuantile(counts []int64, total int64, q float64) float64 {
 	return float64(total) // unreachable unless buckets race behind count
 }
 
-// Registry is a named collection of counters, gauges and histograms,
+// Registry is a named collection of counters and histograms,
 // get-or-created on first use so instrumentation sites never pre-declare.
 // All methods are safe for concurrent use; New returns an empty one.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
 
@@ -144,7 +131,6 @@ type Registry struct {
 func New() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -159,18 +145,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = new(Gauge)
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -190,7 +164,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 // given state).
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
-	Gauges     map[string]int64             `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
@@ -201,10 +174,6 @@ func (r *Registry) Snapshot() Snapshot {
 	counters := make(map[string]*Counter, len(r.counters))
 	for k, v := range r.counters {
 		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
 	}
 	hists := make(map[string]*Histogram, len(r.hists))
 	for k, v := range r.hists {
@@ -217,12 +186,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Counters = make(map[string]int64, len(counters))
 		for k, v := range counters {
 			s.Counters[k] = v.Value()
-		}
-	}
-	if len(gauges) > 0 {
-		s.Gauges = make(map[string]int64, len(gauges))
-		for k, v := range gauges {
-			s.Gauges[k] = v.Value()
 		}
 	}
 	if len(hists) > 0 {

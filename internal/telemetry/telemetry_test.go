@@ -14,14 +14,9 @@ func TestCounterGauge(t *testing.T) {
 	if got := r.Counter("a").Value(); got != 3 {
 		t.Errorf("counter = %d, want 3", got)
 	}
-	r.Gauge("g").Set(10)
-	r.Gauge("g").Add(-4)
-	if got := r.Gauge("g").Value(); got != 6 {
-		t.Errorf("gauge = %d, want 6", got)
-	}
 
 	s := r.Snapshot()
-	if s.Counters["a"] != 3 || s.Gauges["g"] != 6 {
+	if s.Counters["a"] != 3 {
 		t.Errorf("snapshot = %+v", s)
 	}
 	// The snapshot must be JSON-marshalable with stable content.
@@ -94,7 +89,6 @@ func TestRegistryConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				r.Counter("ops").Inc()
-				r.Gauge("level").Add(1)
 				r.Histogram("lat").Observe(time.Duration(i) * time.Microsecond)
 				if i%100 == 0 {
 					_ = r.Snapshot()
@@ -106,9 +100,6 @@ func TestRegistryConcurrency(t *testing.T) {
 	const total = goroutines * perG
 	if got := r.Counter("ops").Value(); got != total {
 		t.Errorf("counter = %d, want %d", got, total)
-	}
-	if got := r.Gauge("level").Value(); got != total {
-		t.Errorf("gauge = %d, want %d", got, total)
 	}
 	s := r.Histogram("lat").Snapshot()
 	if s.Count != total {

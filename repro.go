@@ -47,7 +47,6 @@ package repro
 import (
 	"flag"
 	"fmt"
-	"io"
 
 	"repro/internal/dse"
 	"repro/internal/ec"
@@ -244,10 +243,6 @@ func RegisterDimensionFlags(fs *flag.FlagSet) map[string]*string {
 // A typo fails with an error listing the valid names.
 func ParseArchitecture(s string) (Architecture, error) { return dse.ParseArch(s) }
 
-// ArchitectureNames lists the canonical CLI names of the evaluated
-// architectures, from the dse registry's arch dimension axis.
-func ArchitectureNames() []string { return dse.ArchNames() }
-
 // ParseCurveName validates a CLI curve name through the dse registry's
 // curve dimension axis, failing with the same unknown-curve guidance
 // sweep validation gives.
@@ -346,12 +341,6 @@ func ParetoPerSecurity(points []SweepPoint) []LevelFrontier {
 	return dse.ParetoPerLevel(points)
 }
 
-// SweepPointsJSON renders a point list (e.g. a Pareto frontier) as
-// machine-readable indented JSON.
-func SweepPointsJSON(points []SweepPoint) ([]byte, error) {
-	return dse.PointsJSON(points)
-}
-
 // SweepFrontiersJSON renders the global and per-security-level Pareto
 // frontiers of a point set as machine-readable indented JSON.
 func SweepFrontiersJSON(points []SweepPoint) ([]byte, error) {
@@ -360,27 +349,19 @@ func SweepFrontiersJSON(points []SweepPoint) ([]byte, error) {
 
 // Telemetry types, re-exported from internal/telemetry. A Metrics
 // registry attached to SweepOptions.Metrics (optionally propagated into
-// the simulator with EnableSimMetrics) collects counters, gauges and
-// latency histograms out-of-band: results, keys, hashes and store bytes
-// are byte-identical with and without instrumentation.
+// the simulator with EnableSimMetrics) collects counters and latency
+// histograms out-of-band: results, keys, hashes and store bytes are
+// byte-identical with and without instrumentation.
 type (
-	// Metrics is a race-safe registry of named counters, gauges and
+	// Metrics is a race-safe registry of named counters and
 	// log-bucketed latency histograms.
 	Metrics = telemetry.Registry
 	// MetricsSnapshot is a point-in-time JSON-ready view of a registry.
 	MetricsSnapshot = telemetry.Snapshot
-	// RunJournal appends one JSON object per lifecycle event (sweep
-	// start/point/flush/end) to a writer — an append-only run log.
-	RunJournal = telemetry.Journal
 )
 
 // NewMetrics returns an empty telemetry registry.
 func NewMetrics() *Metrics { return telemetry.New() }
-
-// NewRunJournal returns a journal appending JSONL events to w. Writes
-// are serialized and best-effort: a write error is remembered (Err) but
-// never fails the instrumented work.
-func NewRunJournal(w io.Writer) *RunJournal { return telemetry.NewJournal(w) }
 
 // EnableSimMetrics points the simulator's per-phase instrumentation
 // (profiling-vs-pricing split, assembly cost) at reg; nil disables it.
