@@ -50,6 +50,10 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/dse"
+	"repro/internal/report"
+	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 func main() {
@@ -75,9 +79,9 @@ func main() {
 	// -no-double-buffer, -width, -digit, -gate-accel-idle, -line,
 	// -workload) from the option axes. Registering a new axis there
 	// surfaces its flag here with no per-flag wiring.
-	dims := repro.RegisterDimensionFlags(flag.CommandLine)
+	dims := dse.RegisterDimensionFlags(flag.CommandLine)
 	arch, curve := dims["arch"], dims["curve"]
-	applyAxes := repro.RegisterAxisFlags(flag.CommandLine)
+	applyAxes := dse.RegisterAxisFlags(flag.CommandLine)
 	flag.Parse()
 	// The workload flag doubles as the sweep-mode axis list, so its raw
 	// string is read back from the generated flag.
@@ -88,7 +92,7 @@ func main() {
 	// sweep, an experiment or the chosen architecture would silently drop.
 	var axisFlags []string
 	isAxis := make(map[string]bool)
-	for _, name := range repro.AxisFlagNames() {
+	for _, name := range dse.AxisFlagNames() {
 		isAxis[name] = true
 	}
 	flag.Visit(func(f *flag.Flag) {
@@ -116,11 +120,11 @@ func main() {
 
 	switch {
 	case *list:
-		for _, n := range repro.ExperimentNames() {
+		for _, n := range report.Names() {
 			fmt.Println(n)
 		}
 		fmt.Println("\ndesign-space axes (SweepSpec fields / flags, generated from the axis registry):")
-		fmt.Print(repro.AxesHelp())
+		fmt.Print(dse.AxesHelp())
 	case *sweep:
 		err := runSweep(sweepConfig{
 			workers: *workers, paretoOnly: *pareto, jsonOut: *jsonOut,
@@ -132,12 +136,12 @@ func main() {
 			os.Exit(1)
 		}
 	case *all:
-		var reg *repro.Metrics
+		var reg *telemetry.Registry
 		if *stats {
-			reg = repro.NewMetrics()
-			repro.EnableSimMetrics(reg)
+			reg = telemetry.New()
+			sim.SetMetrics(reg)
 		}
-		out, err := repro.Experiments()
+		out, err := report.All()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -155,24 +159,24 @@ func main() {
 		}
 		fmt.Print(out)
 	case *arch != "":
-		a, err := repro.ParseArchitecture(*arch)
+		a, err := dse.ParseArch(*arch)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		curveName, err := repro.ParseCurveName(*curve)
+		curveName, err := dse.ParseCurve(*curve)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		opt := repro.DefaultOptions()
+		opt := sim.DefaultOptions()
 		applyAxes(&opt)
-		var reg *repro.Metrics
+		var reg *telemetry.Registry
 		if *stats {
-			reg = repro.NewMetrics()
-			repro.EnableSimMetrics(reg)
+			reg = telemetry.New()
+			sim.SetMetrics(reg)
 		}
-		r, err := repro.Simulate(a, curveName, opt)
+		r, err := sim.Run(a, curveName, opt)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -251,8 +255,8 @@ func conflictError(c cliFlags) string {
 		}
 	}
 	// An unparsable -arch is main's error to report.
-	if a, err := repro.ParseArchitecture(c.arch); c.arch != "" && err == nil {
-		relevant := repro.RelevantAxisFlags(a)
+	if a, err := dse.ParseArch(c.arch); c.arch != "" && err == nil {
+		relevant := dse.RelevantAxisFlags(a)
 		for _, f := range c.axisFlags {
 			if !slices.Contains(relevant, f) {
 				return fmt.Sprintf("-%s does not apply to -arch %s (its axis flags: -%s)", f, c.arch, strings.Join(relevant, ", -"))
@@ -270,7 +274,7 @@ func conflictError(c cliFlags) string {
 func axisValueError(fs *flag.FlagSet) string {
 	var msg string
 	fs.Visit(func(f *flag.Flag) {
-		if err := repro.CheckAxisFlag(f); err != nil && msg == "" {
+		if err := dse.CheckAxisFlag(f); err != nil && msg == "" {
 			msg = err.Error()
 		}
 	})
@@ -281,41 +285,41 @@ func axisValueError(fs *flag.FlagSet) string {
 // and prints either the whole point cloud or just its Pareto frontier,
 // as text or JSON.
 func runSweep(cfg sweepConfig) error {
-	spec := repro.FullSweepSpec()
+	spec := dse.FullSweep()
 	var err error
 	if cfg.workloads != "" {
-		if spec.Workloads, err = parseNames("workload", "workload", cfg.workloads, repro.WorkloadNames()); err != nil {
+		if spec.Workloads, err = parseNames("workload", "workload", cfg.workloads, sim.Workloads()); err != nil {
 			return err
 		}
 	}
 	if cfg.curves != "" {
-		if spec.Curves, err = parseNames("curves", "curve", cfg.curves, repro.CurveNames()); err != nil {
+		if spec.Curves, err = parseNames("curves", "curve", cfg.curves, dse.AllCurves()); err != nil {
 			return err
 		}
 	}
-	opt := repro.SweepOptions{Workers: cfg.workers, CacheDir: cfg.cacheDir}
+	opt := dse.SweepOptions{Workers: cfg.workers, CacheDir: cfg.cacheDir}
 
 	// -stats needs the registry; the simulator hook rides along so the
 	// report shows the whole pipeline.
-	var reg *repro.Metrics
+	var reg *telemetry.Registry
 	if cfg.stats {
-		reg = repro.NewMetrics()
-		repro.EnableSimMetrics(reg)
+		reg = telemetry.New()
+		sim.SetMetrics(reg)
 		opt.Metrics = reg
 	}
 
 	var (
-		res *repro.SweepResult
-		ar  *repro.AdaptiveResult
+		res *dse.SweepResult
+		ar  *dse.AdaptiveResult
 	)
 	start := time.Now()
 	if cfg.adaptive {
-		ar, err = repro.AdaptiveSweep(spec, opt)
+		ar, err = dse.AdaptiveSweep(spec, opt)
 		if ar != nil {
 			res = ar.Result
 		}
 	} else {
-		res, err = repro.Sweep(spec, opt)
+		res, err = dse.Sweep(spec, opt)
 	}
 	total := time.Since(start)
 	if err != nil {
@@ -338,7 +342,7 @@ func runSweep(cfg sweepConfig) error {
 	}
 	switch {
 	case cfg.jsonOut && cfg.paretoOnly:
-		out, err := repro.SweepFrontiersJSON(res.Points)
+		out, err := dse.FrontierJSONBytes(res.Points)
 		if err != nil {
 			return err
 		}
@@ -357,7 +361,7 @@ func runSweep(cfg sweepConfig) error {
 		fmt.Println(string(out))
 	case ar != nil:
 		if cfg.paretoOnly {
-			frontier := repro.Pareto(res.Points)
+			frontier := dse.Pareto(res.Points)
 			fmt.Printf("energy-vs-latency Pareto frontier: %d of %d evaluated configurations (cache %d hit / %d miss)\n",
 				len(frontier), res.Configs, res.CacheHits, res.CacheMisses)
 			printPoints(frontier)
@@ -369,13 +373,13 @@ func runSweep(cfg sweepConfig) error {
 			printPoints(lf.Points)
 		}
 	case cfg.paretoOnly:
-		frontier := repro.Pareto(res.Points)
+		frontier := dse.Pareto(res.Points)
 		fmt.Printf("energy-vs-latency Pareto frontier: %d of %d unique configurations (grid %d, workers %d, cache %d hit / %d miss)\n",
 			len(frontier), res.Configs, res.RawPoints, res.Workers,
 			res.CacheHits, res.CacheMisses)
 		printPoints(frontier)
 		fmt.Println("\nper-security-level frontiers (fixed key strength):")
-		for _, lf := range repro.ParetoPerSecurity(res.Points) {
+		for _, lf := range dse.ParetoPerLevel(res.Points) {
 			fmt.Printf("[level %d, ~%d-bit]\n", lf.Level, lf.SecurityBits)
 			printPoints(lf.Points)
 		}
@@ -426,7 +430,7 @@ func parseNames(flagName, noun, list string, valid []string) ([]string, error) {
 }
 
 // printPoints renders a point table.
-func printPoints(points []repro.SweepPoint) {
+func printPoints(points []dse.Point) {
 	fmt.Printf("%-16s %-8s %-22s %12s %12s %14s\n",
 		"arch", "curve", "options", "energy(uJ)", "time(ms)", "EDP(nJ.s)")
 	for _, p := range points {
@@ -440,7 +444,7 @@ func printPoints(points []repro.SweepPoint) {
 	}
 }
 
-func printResult(r repro.SimResult) {
+func printResult(r sim.Result) {
 	fmt.Printf("configuration : %s on %s\n", r.Arch, r.Curve)
 	fmt.Printf("workload      : %s\n", r.Workload)
 	for _, ph := range r.Phases {

@@ -8,7 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"repro"
+	"repro/internal/dse"
+	"repro/internal/telemetry"
 )
 
 // TestConflictError pins every flag-coherence rejection (and the
@@ -83,8 +84,8 @@ func TestAxisValueError(t *testing.T) {
 	check := func(args ...string) string {
 		fs := flag.NewFlagSet("dse", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
-		repro.RegisterDimensionFlags(fs)
-		repro.RegisterAxisFlags(fs)
+		dse.RegisterDimensionFlags(fs)
+		dse.RegisterAxisFlags(fs)
 		if err := fs.Parse(args); err != nil {
 			t.Fatal(err)
 		}
@@ -92,11 +93,11 @@ func TestAxisValueError(t *testing.T) {
 	}
 	rejected := []struct {
 		args []string
-		spec repro.SweepSpec // the same value on the sweep path
+		spec dse.SweepSpec // the same value on the sweep path
 	}{
-		{[]string{"-arch", "billie", "-curve", "B-163", "-digit", "0"}, repro.SweepSpec{BillieDigits: []int{0}}},
-		{[]string{"-arch", "monte", "-curve", "P-256", "-width", "0"}, repro.SweepSpec{MonteWidths: []int{0}}},
-		{[]string{"-arch", "isa-ext+icache", "-curve", "P-256", "-cache", "0"}, repro.SweepSpec{CacheBytes: []int{0}}},
+		{[]string{"-arch", "billie", "-curve", "B-163", "-digit", "0"}, dse.SweepSpec{BillieDigits: []int{0}}},
+		{[]string{"-arch", "monte", "-curve", "P-256", "-width", "0"}, dse.SweepSpec{MonteWidths: []int{0}}},
+		{[]string{"-arch", "isa-ext+icache", "-curve", "P-256", "-cache", "0"}, dse.SweepSpec{CacheBytes: []int{0}}},
 	}
 	for _, c := range rejected {
 		err := c.spec.Validate()
@@ -161,7 +162,7 @@ func TestParseNames(t *testing.T) {
 // live in the result, so no generic counter or gauge dump and no
 // adaptive line (the run's header) is printed.
 func TestPrintStats(t *testing.T) {
-	arch := repro.NewMetrics()
+	arch := telemetry.New()
 	arch.Histogram("sim.profile.sign").Observe(20 * time.Millisecond)
 	arch.Histogram("sim.price.sign").Observe(time.Millisecond)
 	arch.Counter("sim.census.hits").Add(1040)
@@ -181,7 +182,7 @@ func TestPrintStats(t *testing.T) {
 
 	// The full grid: 384000 raw points, 76800 of them on an invalid
 	// (arch, curve) pair, and 530 unique configurations.
-	full := &repro.SweepResult{Spec: repro.FullSweepSpec(), RawPoints: 384000, Configs: 530}
+	full := &dse.SweepResult{Spec: dse.FullSweep(), RawPoints: 384000, Configs: 530}
 	b.Reset()
 	printStats(&b, arch, 90*time.Millisecond, full)
 	out = b.String()
@@ -189,7 +190,7 @@ func TestPrintStats(t *testing.T) {
 		t.Errorf("-stats output lacks %q:\n%s", want, out)
 	}
 
-	sweep := repro.NewMetrics()
+	sweep := telemetry.New()
 	sweep.Histogram("sweep.expand").Observe(time.Millisecond)
 	sweep.Histogram("sweep.expand").Observe(2 * time.Millisecond)
 	sweep.Histogram("store.fingerprint").Observe(40 * time.Millisecond)

@@ -7,7 +7,8 @@ import (
 	"strings"
 	"time"
 
-	"repro"
+	"repro/internal/dse"
+	"repro/internal/telemetry"
 )
 
 // printStats renders the telemetry collected during a run: the
@@ -16,7 +17,7 @@ import (
 // the sweep's stage timing when one ran (total is its wall time, zero
 // for an -arch run), and the process-wide result cache. The writer is
 // stderr in -json mode so machine-readable stdout stays pure JSON.
-func printStats(w io.Writer, reg *repro.Metrics, total time.Duration, res *repro.SweepResult) {
+func printStats(w io.Writer, reg *telemetry.Registry, total time.Duration, res *dse.SweepResult) {
 	s := reg.Snapshot()
 
 	// The per-phase split: census is the functionally-verified crypto
@@ -83,7 +84,8 @@ func printStats(w io.Writer, reg *repro.Metrics, total time.Duration, res *repro
 		}
 	}
 
-	hits, misses, entries := repro.SweepCacheStats()
+	cache := dse.SharedCache()
+	hits, misses := cache.Stats()
 	fmt.Fprintf(w, "process-wide result cache: %d hits / %d misses, %d entries resident\n",
-		hits, misses, entries)
+		hits, misses, cache.Len())
 }

@@ -6,16 +6,13 @@
 // register file and the 32-bit shared-RAM port. Pete feeds it coprocessor
 // instructions through a four-entry queue (Table 5.6).
 //
-// Functional results come from internal/gf2, so Billie computes bit-exact
-// binary-field arithmetic; the timing model captures digit count, issue
-// overhead, and load/store serialization.
+// The package is Billie's timing model: digit count, issue overhead, and
+// load/store serialization (MulCycles, ScalarMultCycles). Its tests hold
+// a functional model of the register file and its instructions, checked
+// bit-exact against internal/gf2.
 package billie
 
-import (
-	"fmt"
-
-	"repro/internal/gf2"
-)
+import "repro/internal/gf2"
 
 // DefaultDigit is the energy-optimal multiplier digit size (3 bits,
 // Section 7.6 citing Kumar et al.).
@@ -27,24 +24,10 @@ type Config struct {
 	Digit     int    // digit-serial multiplier width D
 }
 
-// Stats counts Billie activity for the energy model.
-type Stats struct {
-	MulOps, SqrOps, AddOps uint64
-	Loads, Stores          uint64
-	BusyCycles             uint64 // cycles Billie's datapath is occupied
-	IdleIssue              uint64 // Pete-side issue cycles
-	RegReads, RegWrites    uint64 // register-file accesses (energy model)
-	SharedReads            uint64 // 32-bit words moved from shared RAM
-	SharedWrites           uint64
-}
-
 // Billie is one accelerator instance.
 type Billie struct {
-	Cfg   Config
-	F     *gf2.Field
-	Stats Stats
-
-	regs [16]gf2.Elem
+	Cfg Config
+	F   *gf2.Field
 }
 
 // issueCycles models Pete fetching and feeding one coprocessor instruction
@@ -56,104 +39,14 @@ func New(cfg Config) *Billie {
 	if cfg.Digit <= 0 {
 		cfg.Digit = DefaultDigit
 	}
-	f := gf2.NISTField(cfg.FieldName, gf2.CLMul)
-	b := &Billie{Cfg: cfg, F: f}
-	for i := range b.regs {
-		b.regs[i] = gf2.New(f.K)
-	}
-	return b
+	return &Billie{Cfg: cfg, F: gf2.NISTField(cfg.FieldName, gf2.CLMul)}
 }
-
-// M returns the field extension degree.
-func (b *Billie) M() int { return b.F.M }
 
 // MulCycles is the digit-serial multiplication latency: ceil(m/D)
 // iterations plus the final reduction and result write-back.
 func (b *Billie) MulCycles() uint64 {
 	d := b.Cfg.Digit
 	return uint64((b.F.M+d-1)/d) + 3
-}
-
-// checkReg panics on a bad register index.
-func checkReg(r int) {
-	if r < 0 || r > 15 {
-		panic(fmt.Sprintf("billie: register %d out of range", r))
-	}
-}
-
-// Load moves a field element from memory into register rd (COP2LD).
-func (b *Billie) Load(rd int, v gf2.Elem) uint64 {
-	checkReg(rd)
-	copy(b.regs[rd], v)
-	words := uint64(b.F.K)
-	b.Stats.Loads++
-	b.Stats.SharedReads += words
-	b.Stats.RegWrites++
-	busy := words + issueCycles
-	b.Stats.BusyCycles += busy
-	b.Stats.IdleIssue += issueCycles
-	return busy
-}
-
-// Store moves register rs out to memory (COP2ST).
-func (b *Billie) Store(rs int) (gf2.Elem, uint64) {
-	checkReg(rs)
-	out := b.regs[rs].Clone()
-	words := uint64(b.F.K)
-	b.Stats.Stores++
-	b.Stats.SharedWrites += words
-	b.Stats.RegReads++
-	busy := words + issueCycles
-	b.Stats.BusyCycles += busy
-	return out, busy
-}
-
-// Mul executes COP2MUL fd ← fs × ft (modular digit-serial multiply).
-func (b *Billie) Mul(fd, fs, ft int) uint64 {
-	checkReg(fd)
-	checkReg(fs)
-	checkReg(ft)
-	b.F.Mul(b.regs[fd], b.regs[fs], b.regs[ft])
-	b.Stats.MulOps++
-	b.Stats.RegReads += 2
-	b.Stats.RegWrites++
-	busy := b.MulCycles() + issueCycles
-	b.Stats.BusyCycles += busy
-	return busy
-}
-
-// Sqr executes COP2SQR fd ← ft² (single-cycle hardwired squarer,
-// Section 5.5.3).
-func (b *Billie) Sqr(fd, ft int) uint64 {
-	checkReg(fd)
-	checkReg(ft)
-	b.F.Sqr(b.regs[fd], b.regs[ft])
-	b.Stats.SqrOps++
-	b.Stats.RegReads++
-	b.Stats.RegWrites++
-	busy := uint64(1 + issueCycles)
-	b.Stats.BusyCycles += busy
-	return busy
-}
-
-// Add executes COP2ADD fd ← fs + ft (single-cycle full-width XOR).
-func (b *Billie) Add(fd, fs, ft int) uint64 {
-	checkReg(fd)
-	checkReg(fs)
-	checkReg(ft)
-	b.F.Add(b.regs[fd], b.regs[fs], b.regs[ft])
-	b.Stats.AddOps++
-	b.Stats.RegReads += 2
-	b.Stats.RegWrites++
-	busy := uint64(1 + issueCycles)
-	b.Stats.BusyCycles += busy
-	return busy
-}
-
-// Reg returns a copy of a register (test access).
-func (b *Billie) Reg(i int) gf2.Elem {
-	checkReg(i)
-	return b.regs[i].Clone()
 }
 
 // ScalarMultCycles estimates one m-bit scalar point multiplication on

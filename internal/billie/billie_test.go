@@ -1,6 +1,7 @@
 package billie
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -18,9 +19,121 @@ func randElem(r *rand.Rand, f *gf2.Field) gf2.Elem {
 	return z
 }
 
+// regFile is Billie's 16-entry, full-field-width register file with the
+// coprocessor instructions that run on it: a functional and activity
+// model the tests check against gf2. The simulator prices Billie from
+// MulCycles and ScalarMultCycles and never runs it.
+type regFile struct {
+	*Billie
+	Stats Stats
+
+	regs [16]gf2.Elem
+}
+
+func newRegFile(cfg Config) *regFile {
+	b := &regFile{Billie: New(cfg)}
+	for i := range b.regs {
+		b.regs[i] = gf2.New(b.F.K)
+	}
+	return b
+}
+
+// Stats counts the register-file model's activity.
+type Stats struct {
+	MulOps, SqrOps, AddOps uint64
+	Loads, Stores          uint64
+	BusyCycles             uint64 // cycles Billie's datapath is occupied
+	IdleIssue              uint64 // Pete-side issue cycles
+	RegReads, RegWrites    uint64 // register-file accesses (energy model)
+	SharedReads            uint64 // 32-bit words moved from shared RAM
+	SharedWrites           uint64
+}
+
+// checkReg panics on a bad register index.
+func checkReg(r int) {
+	if r < 0 || r > 15 {
+		panic(fmt.Sprintf("billie: register %d out of range", r))
+	}
+}
+
+// Load moves a field element from memory into register rd (COP2LD).
+func (b *regFile) Load(rd int, v gf2.Elem) uint64 {
+	checkReg(rd)
+	copy(b.regs[rd], v)
+	words := uint64(b.F.K)
+	b.Stats.Loads++
+	b.Stats.SharedReads += words
+	b.Stats.RegWrites++
+	busy := words + issueCycles
+	b.Stats.BusyCycles += busy
+	b.Stats.IdleIssue += issueCycles
+	return busy
+}
+
+// Store moves register rs out to memory (COP2ST).
+func (b *regFile) Store(rs int) (gf2.Elem, uint64) {
+	checkReg(rs)
+	out := b.regs[rs].Clone()
+	words := uint64(b.F.K)
+	b.Stats.Stores++
+	b.Stats.SharedWrites += words
+	b.Stats.RegReads++
+	busy := words + issueCycles
+	b.Stats.BusyCycles += busy
+	return out, busy
+}
+
+// Mul executes COP2MUL fd ← fs × ft (modular digit-serial multiply).
+func (b *regFile) Mul(fd, fs, ft int) uint64 {
+	checkReg(fd)
+	checkReg(fs)
+	checkReg(ft)
+	b.F.Mul(b.regs[fd], b.regs[fs], b.regs[ft])
+	b.Stats.MulOps++
+	b.Stats.RegReads += 2
+	b.Stats.RegWrites++
+	busy := b.MulCycles() + issueCycles
+	b.Stats.BusyCycles += busy
+	return busy
+}
+
+// Sqr executes COP2SQR fd ← ft² (single-cycle hardwired squarer,
+// Section 5.5.3).
+func (b *regFile) Sqr(fd, ft int) uint64 {
+	checkReg(fd)
+	checkReg(ft)
+	b.F.Sqr(b.regs[fd], b.regs[ft])
+	b.Stats.SqrOps++
+	b.Stats.RegReads++
+	b.Stats.RegWrites++
+	busy := uint64(1 + issueCycles)
+	b.Stats.BusyCycles += busy
+	return busy
+}
+
+// Add executes COP2ADD fd ← fs + ft (single-cycle full-width XOR).
+func (b *regFile) Add(fd, fs, ft int) uint64 {
+	checkReg(fd)
+	checkReg(fs)
+	checkReg(ft)
+	b.F.Add(b.regs[fd], b.regs[fs], b.regs[ft])
+	b.Stats.AddOps++
+	b.Stats.RegReads += 2
+	b.Stats.RegWrites++
+	busy := uint64(1 + issueCycles)
+	b.Stats.BusyCycles += busy
+	return busy
+}
+
+// Reg returns a copy of a register (test access).
+func (b *regFile) Reg(i int) gf2.Elem {
+	checkReg(i)
+	return b.regs[i].Clone()
+}
+
 func TestRegisterFileOps(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	b := New(Config{FieldName: "B-163"})
+	b := newRegFile(Config{FieldName: "B-163"})
 	ref := gf2.NISTField("B-163", gf2.CLMul)
 	a1 := randElem(r, b.F)
 	a2 := randElem(r, b.F)
@@ -68,7 +181,7 @@ func TestMulCyclesDigitSerial(t *testing.T) {
 func TestAllFieldsFunctional(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for _, name := range gf2.BinaryFieldNames {
-		b := New(Config{FieldName: name})
+		b := newRegFile(Config{FieldName: name})
 		ref := gf2.NISTField(name, gf2.CLMul)
 		x := randElem(r, b.F)
 		y := randElem(r, b.F)
@@ -112,7 +225,7 @@ func TestScalarMultBeatsPriorWork(t *testing.T) {
 }
 
 func TestStatsAndGuards(t *testing.T) {
-	b := New(Config{FieldName: "B-233"})
+	b := newRegFile(Config{FieldName: "B-233"})
 	x := b.F.One.Clone()
 	b.Load(0, x)
 	b.Mul(1, 0, 0)

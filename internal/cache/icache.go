@@ -2,8 +2,8 @@
 // 5.3: 16-byte lines, parameterizable capacity (1–8 KB evaluated), valid
 // bits, a three-cycle miss penalty against the 128-bit single-ported ROM,
 // and an optional single-entry stream-buffer prefetcher modeled after
-// Jouppi (Section 5.3.3). An Ideal mode never misses, reproducing the
-// best-case study of Figure 7.11.
+// Jouppi (Section 5.3.3). Figure 7.11's ideal never-miss cache has no
+// model here: sim prices it analytically.
 package cache
 
 import (
@@ -58,7 +58,6 @@ type ICache struct {
 	// several pipelined beats.
 	Line     int
 	Prefetch bool
-	Ideal    bool // never miss (Figure 7.11's bound)
 
 	Mem   *mem.System
 	Stats Stats
@@ -100,13 +99,6 @@ func NewWithLine(sizeBytes, lineBytes int, prefetch bool, m *mem.System) *ICache
 	}
 }
 
-// NewIdeal builds the ideal never-miss cache model.
-func NewIdeal(sizeBytes int, m *mem.System) *ICache {
-	c := New(sizeBytes, false, m)
-	c.Ideal = true
-	return c
-}
-
 // readLine charges one line fill's worth of ROM traffic.
 func (c *ICache) readLine() {
 	for i := 0; i < BeatsPerFill(c.Line); i++ {
@@ -118,9 +110,6 @@ func (c *ICache) readLine() {
 // instruction fetch costs beyond the base cycle.
 func (c *ICache) Fetch(addr uint32) int {
 	c.Stats.Accesses++
-	if c.Ideal {
-		return 0
-	}
 	line := addr / uint32(c.Line)
 	idx := line % uint32(c.lines)
 	if c.valid[idx] && c.tags[idx] == line {
@@ -169,14 +158,4 @@ func (c *ICache) MissRate() float64 {
 		return 0
 	}
 	return float64(c.Stats.Misses) / float64(c.Stats.Accesses)
-}
-
-// Reset invalidates the cache and clears counters (the reset-vector
-// initialization sequence of Section 5.3.2).
-func (c *ICache) Reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-	}
-	c.pfValid = false
-	c.Stats = Stats{}
 }

@@ -65,19 +65,6 @@ func TestPrefetchTrafficCounted(t *testing.T) {
 	}
 }
 
-func TestIdealNeverMisses(t *testing.T) {
-	m := mem.NewSystem()
-	c := NewIdeal(4096, m)
-	for a := uint32(0); a < 100000; a += 4 {
-		if s := c.Fetch(a); s != 0 {
-			t.Fatal("ideal cache stalled")
-		}
-	}
-	if c.Stats.Misses != 0 || m.Stats.ROMLineReads != 0 {
-		t.Error("ideal cache touched ROM")
-	}
-}
-
 func TestMissRateAndReset(t *testing.T) {
 	m := mem.NewSystem()
 	c := New(1024, false, m)
@@ -85,13 +72,6 @@ func TestMissRateAndReset(t *testing.T) {
 	c.Fetch(4)
 	if r := c.MissRate(); r != 0.5 {
 		t.Errorf("miss rate %.2f, want 0.5", r)
-	}
-	c.Reset()
-	if c.Stats.Accesses != 0 || c.MissRate() != 0 {
-		t.Error("reset did not clear stats")
-	}
-	if s := c.Fetch(0); s != MissPenalty {
-		t.Error("reset should invalidate lines")
 	}
 }
 

@@ -29,7 +29,7 @@ import (
 //     Config.Curve rather than an Options field, render the leading key
 //     tokens, own the cross-dimension validity rule (validWith), and
 //     surface on the CLI as selection flags (-arch, -curve) with a
-//     declared parse/format rather than through RegisterAxisFlags.
+//     declared parse rather than through RegisterAxisFlags.
 //   - Option axes identify *how* it is configured — every tuning knob.
 //     They write one sim.Options field each and surface through
 //     RegisterAxisFlags.
@@ -52,7 +52,9 @@ import (
 // every architecture's factored grid — Baseline's 1-point sweep
 // becomes N points. The predicate must over-approximate relevant
 // (never be false where relevant can be true); the factored-vs-brute
-// equivalence tests catch a violation.
+// equivalence tests catch a violation. The predicate is also the one
+// per-architecture relevance list the CLI sees: RelevantAxisFlags reads
+// it to reject a single-run flag that cannot change the result.
 //
 // Every axis MUST also declare its Strategy block — the scale hint and
 // monotone-prunability flag adaptive exploration strategies read to
@@ -78,7 +80,7 @@ type Axis struct {
 	// (architecture, curve) rather than tuning it. Dimension axes render
 	// their key tokens first, carry the cross-dimension validity rule,
 	// and are excluded from the option-axis surfaces (RegisterAxisFlags,
-	// RelevantAxes, OptionsLabel).
+	// RelevantAxisFlags, OptionsLabel).
 	Dimension bool
 	// Strategy is the axis's search-strategy metadata: how an adaptive
 	// exploration should step along it and whether it may prune by
@@ -104,9 +106,6 @@ type Axis struct {
 	// Declared by dimension axes (option axes parse through the typed
 	// flag machinery in RegisterAxisFlags).
 	parse func(s string) (axisValue, error)
-	// format renders one axis value as its canonical CLI spelling (the
-	// inverse of parse).
-	format func(v axisValue) string
 
 	// canon rewrites the axis value toward its canonical form
 	// (zero-value → default, or default → elided zero); nil means the
@@ -232,7 +231,7 @@ func boolVal(v bool) axisValue     { return axisValue{kind: FlagBool, b: v} }
 func stringVal(v string) axisValue { return axisValue{kind: FlagString, s: v} }
 
 // archVal carries a sim.Arch as an axis value (ordinal in the int
-// field; the CLI-facing form is the string name via parse/format).
+// field; the CLI-facing form is the string name, read by parse).
 func archVal(a sim.Arch) axisValue { return axisValue{kind: FlagInt, i: int(a)} }
 
 // FlagKind selects the CLI flag type generated for an axis.
@@ -250,7 +249,6 @@ type FlagSpec struct {
 	Usage     string
 	Kind      FlagKind
 	DefInt    int
-	DefBool   bool
 	DefString string
 	// Invert makes a bool flag mean the opposite of the option value
 	// (-no-double-buffer sets DoubleBuffer=false).
@@ -293,25 +291,12 @@ func AllArchs() []sim.Arch {
 	return append([]sim.Arch{}, evaluatedArchs...)
 }
 
-// archNames renders the evaluated architectures' canonical CLI names
-// straight off the domain slice. The arch axis's parse closure uses
-// this rather than the exported ArchNames because the latter resolves
-// archAxis from the registry — a reference that would be an
-// initialization cycle inside the registry literal itself.
+// archNames lists the evaluated architectures' canonical CLI names, in
+// domain order, for the arch axis's unknown-architecture message.
 func archNames() []string {
 	out := make([]string, len(evaluatedArchs))
 	for i, a := range evaluatedArchs {
 		out[i] = a.String()
-	}
-	return out
-}
-
-// ArchNames lists the canonical CLI spellings of the evaluated
-// architectures, in domain order, via the arch axis's format.
-func ArchNames() []string {
-	out := make([]string, len(evaluatedArchs))
-	for i, a := range evaluatedArchs {
-		out[i] = archAxis.format(archVal(a))
 	}
 	return out
 }
@@ -377,7 +362,6 @@ var axes = []*Axis{
 			}
 			return axisValue{}, fmt.Errorf("unknown architecture %q (want one of %s)", s, strings.Join(archNames(), ", "))
 		},
-		format: func(v axisValue) string { return sim.Arch(v.i).String() },
 		// The first key token: no leading space, reproducing the
 		// hand-written "arch=…" prefix every stored hash starts from.
 		appendKey: func(dst []byte, c *Config) []byte {
@@ -408,7 +392,6 @@ var axes = []*Axis{
 			}
 			return stringVal(s), nil
 		},
-		format: func(v axisValue) string { return v.s },
 		// The architecture/curve compatibility rule (Section 7.x): Monte
 		// is a prime-field accelerator, Billie a binary-field one; every
 		// other architecture runs both families in software. Declared
@@ -739,7 +722,7 @@ var axes = []*Axis{
 }
 
 // archAxis and curveAxis are the dimension entries, resolved once for
-// the parse/format front doors below.
+// the parse front doors below.
 var (
 	archAxis  = mustAxis("arch")
 	curveAxis = mustAxis("curve")
@@ -791,10 +774,6 @@ func ParseCurve(s string) (string, error) {
 	return v.s, nil
 }
 
-// Axes returns the registered design-space axes in canonical order:
-// dimension axes first, then the option axes.
-func Axes() []*Axis { return axes }
-
 // RegisterAxisFlags registers one CLI flag per design-space *option*
 // axis on fs (call before fs.Parse) and returns an apply function that
 // copies the parsed values into an Options. Flag names, defaults and
@@ -817,7 +796,7 @@ func RegisterAxisFlags(fs *flag.FlagSet) func(o *sim.Options) {
 		case FlagInt:
 			bd.i = fs.Int(f.Name, f.DefInt, f.Usage)
 		case FlagBool:
-			bd.b = fs.Bool(f.Name, f.DefBool, f.Usage)
+			bd.b = fs.Bool(f.Name, false, f.Usage)
 		case FlagString:
 			bd.s = fs.String(f.Name, f.DefString, f.Usage)
 		}
@@ -858,26 +837,14 @@ func RegisterDimensionFlags(fs *flag.FlagSet) map[string]*string {
 	return out
 }
 
-// RelevantAxes lists the names of the option axes whose arch-level
-// relevance bound admits architecture a — the axes factored expansion
-// actually enumerates for that architecture (dimension axes are the
-// factoring, not the factored). Tests pin the per-architecture counts
-// so an axis that forgets its archRelevant predicate (and so silently
-// re-inflates every architecture's grid) fails loudly.
-func RelevantAxes(a sim.Arch) []string {
-	var out []string
-	for _, i := range optIdx {
-		ax := axes[i]
-		if ax.archRelevant == nil || ax.archRelevant(a) {
-			out = append(out, ax.Name)
-		}
-	}
-	return out
-}
-
-// RelevantAxisFlags is RelevantAxes by CLI flag name: the option flags
-// that can change a result on architecture a. A CLI rejects any other
-// option flag on a single-configuration run rather than drop it.
+// RelevantAxisFlags lists, by CLI flag name, the option axes whose
+// arch-level relevance bound admits architecture a: the axes factored
+// expansion enumerates for a (dimension axes are the factoring, not the
+// factored), and so the flags that can change a result on a. A CLI
+// rejects any other option flag on a single-configuration run rather
+// than drop it. Tests pin the per-architecture lists, so an axis that
+// forgets its archRelevant predicate (and so silently re-inflates every
+// architecture's grid) fails loudly.
 func RelevantAxisFlags(a sim.Arch) []string {
 	var out []string
 	for _, i := range optIdx {

@@ -164,10 +164,10 @@ func TestRegisterAxisFlags(t *testing.T) {
 // axis, each naming its flag.
 func TestAxesHelp(t *testing.T) {
 	help := AxesHelp()
-	if n := strings.Count(help, "\n"); n != len(Axes()) {
-		t.Errorf("AxesHelp has %d lines, want %d", n, len(Axes()))
+	if n := strings.Count(help, "\n"); n != len(axes) {
+		t.Errorf("AxesHelp has %d lines, want %d", n, len(axes))
 	}
-	for _, ax := range Axes() {
+	for _, ax := range axes {
 		if !strings.Contains(help, "-"+ax.Flag.Name) {
 			t.Errorf("AxesHelp missing -%s", ax.Flag.Name)
 		}

@@ -53,9 +53,10 @@ type Config struct {
 	Opt   sim.Options
 
 	// key memoizes the rendered canonical key. Invariant: it is only
-	// ever set on a config that is already canonical (Expand and
-	// expandBrute stamp it on each unique config they emit), so Key can
-	// return it verbatim and Canonical can carry it through unchanged.
+	// ever set on a config that is already canonical (Expand, and the
+	// tests' brute-force expansion, stamp it on each unique config they
+	// emit), so Key can return it verbatim and Canonical can carry it
+	// through unchanged.
 	// Hand-built configs leave it "" and pay one render on first use.
 	// Unexported, so it is invisible to encoding/json and never reaches
 	// the store; it does participate in == comparison, which is what the

@@ -167,16 +167,6 @@ func (ar *AdaptiveResult) MarshalJSON() ([]byte, error) {
 	return json.MarshalIndent(out, "", "  ")
 }
 
-// PointsJSON renders a bare point list (e.g. a frontier) as indented
-// JSON.
-func PointsJSON(points []Point) ([]byte, error) {
-	out := make([]PointJSON, 0, len(points))
-	for _, p := range points {
-		out = append(out, p.ToJSON())
-	}
-	return json.MarshalIndent(out, "", "  ")
-}
-
 // FrontiersJSON is the machine-readable frontier-only rendering: the
 // global energy-vs-latency frontier plus the per-security-level
 // frontiers, mirroring what the text -pareto mode shows.

@@ -34,3 +34,13 @@ func TestPointToJSONCanonicalizesOptions(t *testing.T) {
 		t.Errorf("wire hash %s != config hash %s", j.Hash, raw.Hash())
 	}
 }
+
+// PointsJSON renders a bare point list (e.g. a frontier) as indented
+// JSON.
+func PointsJSON(points []Point) ([]byte, error) {
+	out := make([]PointJSON, 0, len(points))
+	for _, p := range points {
+		out = append(out, p.ToJSON())
+	}
+	return json.MarshalIndent(out, "", "  ")
+}

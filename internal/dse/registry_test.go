@@ -20,7 +20,7 @@ func TestRegistryOrderPinned(t *testing.T) {
 		"cache", "prefetch", "ideal-cache", "double-buffer",
 		"width", "digit", "gate", "line", "workload",
 	}
-	got := Axes()
+	got := axes
 	if len(got) != len(want) {
 		names := make([]string, len(got))
 		for i, ax := range got {
@@ -84,7 +84,7 @@ func TestEveryAxisDeclaresStrategy(t *testing.T) {
 		"line":          {Scale: ScaleLog2},
 		"workload":      {Scale: ScaleEnumerated},
 	}
-	for _, ax := range Axes() {
+	for _, ax := range axes {
 		if ax.Strategy.Scale == ScaleUnset {
 			t.Errorf("axis %q declares no Strategy (scale %v) — every axis must state how adaptive exploration steps it",
 				ax.Name, ax.Strategy.Scale)
@@ -134,8 +134,8 @@ func TestParseArch(t *testing.T) {
 	if !strings.Contains(msg, `unknown architecture "montee"`) {
 		t.Errorf("typo error %q does not name the bad input", msg)
 	}
-	for _, name := range ArchNames() {
-		if !strings.Contains(msg, name) {
+	for _, a := range AllArchs() {
+		if name := a.String(); !strings.Contains(msg, name) {
 			t.Errorf("typo error %q does not list valid name %q", msg, name)
 		}
 	}

@@ -7,7 +7,8 @@ import "repro/internal/mp"
 // odd multiples for single multiplications (signatures) and
 // joint-sparse-form twin multiplication for verification. The Montgomery
 // ladder the paper evaluated for Billie (and found slower than the
-// sliding window, Figure 7.14) is binary-only and lives in binary.go.
+// sliding window, Figure 7.14) is binary-only; its implementation is the
+// tests' cross-check of ScalarMult (ladder_test.go), and billie prices it.
 
 // wnaf recodes scalar x into width-w non-adjacent form: a digit stream
 // (least significant first) of zeros and odd digits |d| < 2^(w-1).

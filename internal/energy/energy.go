@@ -173,9 +173,6 @@ const (
 // BillieDynamic returns Billie's busy dynamic power for field degree m.
 func BillieDynamic(m int) float64 { return BillieDynamicW * float64(m) / billieRefM }
 
-// BillieIdle returns Billie's idle power for field degree m.
-func BillieIdle(m int) float64 { return BillieDynamic(m) * BillieIdleFactor }
-
 // BillieStatic returns Billie's leakage for field degree m.
 func BillieStatic(m int) float64 { return BillieStaticW * float64(m) / billieRefM }
 
@@ -252,14 +249,6 @@ func (b Breakdown) Add(o Breakdown) Breakdown {
 		RAM:    b.RAM + o.RAM,
 		Uncore: b.Uncore + o.Uncore,
 		Accel:  b.Accel + o.Accel,
-	}
-}
-
-// Scale returns the breakdown scaled by s.
-func (b Breakdown) Scale(s float64) Breakdown {
-	return Breakdown{
-		Pete: b.Pete * s, ROM: b.ROM * s, RAM: b.RAM * s,
-		Uncore: b.Uncore * s, Accel: b.Accel * s,
 	}
 }
 

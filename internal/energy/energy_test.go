@@ -3,7 +3,6 @@ package energy
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestSRAMScaling(t *testing.T) {
@@ -44,27 +43,6 @@ func TestBreakdownArithmetic(t *testing.T) {
 	if s.Total() != 20 {
 		t.Errorf("Add/Total wrong: %v", s.Total())
 	}
-	h := a.Scale(0.5)
-	if h.Total() != 7.5 || h.Accel != 2.5 {
-		t.Errorf("Scale wrong: %+v", h)
-	}
-	err := quick.Check(func(p, r, m, u, ac float64) bool {
-		bd := Breakdown{Pete: abs(p), ROM: abs(r), RAM: abs(m), Uncore: abs(u), Accel: abs(ac)}
-		return math.Abs(bd.Scale(2).Total()-2*bd.Total()) < 1e-6*(1+bd.Total())
-	}, &quick.Config{MaxCount: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func abs(x float64) float64 {
-	if x < 0 || math.IsNaN(x) {
-		return 1
-	}
-	if math.IsInf(x, 0) {
-		return 1
-	}
-	return math.Mod(x, 1e6)
 }
 
 func TestBilliePowerScalesLinearly(t *testing.T) {
@@ -73,7 +51,7 @@ func TestBilliePowerScalesLinearly(t *testing.T) {
 	if math.Abs(d571/d163-571.0/163.0) > 1e-9 {
 		t.Errorf("Billie dynamic power should scale with m: %.3f", d571/d163)
 	}
-	if BillieIdle(163) >= d163 {
+	if BillieIdleD(163, 3) >= d163 {
 		t.Error("idle power should be below busy power")
 	}
 	if BillieStatic(571) <= BillieStatic(163) {
@@ -90,8 +68,8 @@ func TestBillieDigitFactorNormalizedAtHeadline(t *testing.T) {
 			if BillieDynamicD(m, d) != BillieDynamic(m) {
 				t.Errorf("BillieDynamicD(%d,%d) != BillieDynamic(%d)", m, d, m)
 			}
-			if BillieIdleD(m, d) != BillieIdle(m) {
-				t.Errorf("BillieIdleD(%d,%d) != BillieIdle(%d)", m, d, m)
+			if BillieIdleD(m, d) != BillieDynamic(m)*BillieIdleFactor {
+				t.Errorf("BillieIdleD(%d,%d) != BillieDynamic(%d)*BillieIdleFactor", m, d, m)
 			}
 			if BillieStaticD(m, d) != BillieStatic(m) {
 				t.Errorf("BillieStaticD(%d,%d) != BillieStatic(%d)", m, d, m)

@@ -210,41 +210,6 @@ func (f *Field) Inv(z, a Elem) {
 	}
 }
 
-// InvIT sets z = a^(2^m - 2) by an Itoh–Tsujii-style square-and-multiply
-// chain — the Fermat inversion Monte/Billie run (Section 4.2.4). It uses
-// the simple binary expansion of 2^m-2 = Σ_{i=1}^{m-1} 2^i: m-1 squarings
-// with m-2 multiplications, matching the O(k^3) software cost model.
-func (f *Field) InvIT(z, a Elem) {
-	f.Counters.Inv++
-	// Itoh–Tsujii addition chain: a^-1 = (a^(2^(m-1)-1))^2, where
-	// a^(2^n - 1) is built by recursive doubling of the exponent chain,
-	// giving ~log2(m) multiplications and m-1 squarings — cheap on
-	// hardware with single-cycle squaring (Billie, Section 5.5.3).
-	var build func(n int) Elem
-	build = func(n int) Elem {
-		if n == 1 {
-			return a.Clone()
-		}
-		if n%2 == 0 {
-			h := build(n / 2)
-			t := h.Clone()
-			for i := 0; i < n/2; i++ {
-				f.Sqr(t, t)
-			}
-			f.Mul(t, t, h)
-			return t
-		}
-		h := build(n - 1)
-		t := h.Clone()
-		f.Sqr(t, t)
-		f.Mul(t, t, a)
-		return t
-	}
-	r := build(f.M - 1) // a^(2^(m-1) - 1)
-	f.Sqr(r, r)         // squaring gives a^(2^m - 2) = a^-1
-	copy(z, r)
-}
-
 // modulus returns f(x) as a (k+1)-word polynomial.
 func (f *Field) modulus() Elem {
 	z := New(f.K + 1)

@@ -3,7 +3,8 @@
 // windows (the software-only path), word-level carry-less multiplication
 // (the MULGF2/MADDGF2 ISA-extension path), table-driven and CLMUL fast
 // squaring, NIST fast reduction for the five binary fields, and inversion
-// by both the polynomial extended Euclidean algorithm and Itoh–Tsujii.
+// by the polynomial extended Euclidean algorithm. (The accelerators'
+// Itoh–Tsujii inversion is priced, not executed: see sim and billie.)
 package gf2
 
 import (
@@ -48,15 +49,6 @@ func (a Elem) IsOne() bool {
 	return true
 }
 
-// Bit returns coefficient i.
-func (a Elem) Bit(i int) uint {
-	w := i / 32
-	if w >= len(a) {
-		return 0
-	}
-	return uint(a[w]>>(uint(i)%32)) & 1
-}
-
 // Degree returns the degree of a, or -1 for the zero polynomial.
 func (a Elem) Degree() int {
 	for i := len(a) - 1; i >= 0; i-- {
@@ -90,24 +82,6 @@ func Equal(a, b Elem) bool {
 		}
 	}
 	return true
-}
-
-// Hex renders a as hexadecimal.
-func (a Elem) Hex() string {
-	var b strings.Builder
-	started := false
-	for i := len(a) - 1; i >= 0; i-- {
-		if started {
-			fmt.Fprintf(&b, "%08x", a[i])
-		} else if a[i] != 0 {
-			fmt.Fprintf(&b, "%x", a[i])
-			started = true
-		}
-	}
-	if !started {
-		return "0"
-	}
-	return b.String()
 }
 
 // FromHex parses hex into an Elem of k words.

@@ -124,37 +124,10 @@ type Inst struct {
 
 // Class helpers for the pipeline model.
 
-// IsLoad reports whether the instruction reads data memory.
-func (i Inst) IsLoad() bool {
-	switch i.Op {
-	case LW, LB, LBU, LH, LHU:
-		return true
-	}
-	return false
-}
-
-// IsStore reports whether the instruction writes data memory.
-func (i Inst) IsStore() bool {
-	switch i.Op {
-	case SW, SB, SH:
-		return true
-	}
-	return false
-}
-
 // IsBranch reports whether the instruction is a conditional branch.
 func (i Inst) IsBranch() bool {
 	switch i.Op {
 	case BEQ, BNE, BLEZ, BGTZ, BLTZ, BGEZ:
-		return true
-	}
-	return false
-}
-
-// IsJump reports whether the instruction unconditionally changes control flow.
-func (i Inst) IsJump() bool {
-	switch i.Op {
-	case J, JAL, JR, JALR:
 		return true
 	}
 	return false
@@ -178,21 +151,6 @@ func (i Inst) ReadsHiLo() bool {
 		return true
 	}
 	return false
-}
-
-// DestReg returns the general-purpose register the instruction writes, or
-// -1 if none.
-func (i Inst) DestReg() int {
-	switch i.Op {
-	case ADDU, SUBU, AND, OR, XOR, NOR, SLT, SLTU,
-		SLL, SRL, SRA, SLLV, SRLV, SRAV, MFHI, MFLO, JALR:
-		return i.Rd
-	case ADDIU, ANDI, ORI, XORI, LUI, SLTI, SLTIU, LW, LB, LBU, LH, LHU:
-		return i.Rt
-	case JAL:
-		return 31
-	}
-	return -1
 }
 
 // SrcRegs returns the general-purpose registers the instruction reads.

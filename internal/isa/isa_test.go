@@ -15,21 +15,19 @@ func TestOpNamesRoundTrip(t *testing.T) {
 
 func TestClassPredicates(t *testing.T) {
 	cases := []struct {
-		in                              Inst
-		load, store, branch, jump, mulu bool
+		in           Inst
+		branch, mulu bool
 	}{
-		{Inst{Op: LW}, true, false, false, false, false},
-		{Inst{Op: SB}, false, true, false, false, false},
-		{Inst{Op: BNE}, false, false, true, false, false},
-		{Inst{Op: JAL}, false, false, false, true, false},
-		{Inst{Op: MADDU}, false, false, false, false, true},
-		{Inst{Op: MULGF2}, false, false, false, false, true},
-		{Inst{Op: ADDU}, false, false, false, false, false},
+		{Inst{Op: LW}, false, false},
+		{Inst{Op: SB}, false, false},
+		{Inst{Op: BNE}, true, false},
+		{Inst{Op: JAL}, false, false},
+		{Inst{Op: MADDU}, false, true},
+		{Inst{Op: MULGF2}, false, true},
+		{Inst{Op: ADDU}, false, false},
 	}
 	for _, c := range cases {
-		if c.in.IsLoad() != c.load || c.in.IsStore() != c.store ||
-			c.in.IsBranch() != c.branch || c.in.IsJump() != c.jump ||
-			c.in.UsesMulUnit() != c.mulu {
+		if c.in.IsBranch() != c.branch || c.in.UsesMulUnit() != c.mulu {
 			t.Errorf("%v: predicates wrong", c.in.Op)
 		}
 	}
@@ -48,23 +46,16 @@ func TestHiLoReaders(t *testing.T) {
 
 func TestDestAndSrcRegs(t *testing.T) {
 	in := Inst{Op: ADDU, Rd: 3, Rs: 4, Rt: 5}
-	if in.DestReg() != 3 {
-		t.Error("ADDU dest wrong")
-	}
 	srcs := in.SrcRegs()
 	if len(srcs) != 2 || srcs[0] != 4 || srcs[1] != 5 {
 		t.Errorf("ADDU srcs %v", srcs)
 	}
 	lw := Inst{Op: LW, Rt: 7, Rs: 8}
-	if lw.DestReg() != 7 || lw.SrcRegs()[0] != 8 {
+	if lw.SrcRegs()[0] != 8 {
 		t.Error("LW regs wrong")
 	}
-	jal := Inst{Op: JAL}
-	if jal.DestReg() != 31 {
-		t.Error("JAL writes $ra")
-	}
 	sw := Inst{Op: SW, Rt: 2, Rs: 3}
-	if sw.DestReg() != -1 || len(sw.SrcRegs()) != 2 {
+	if len(sw.SrcRegs()) != 2 {
 		t.Error("SW regs wrong")
 	}
 }

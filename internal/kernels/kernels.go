@@ -65,15 +65,6 @@ func (r *Runner) StoreWords(addr uint32, words []uint32) {
 	}
 }
 
-// LoadWords reads words from RAM.
-func (r *Runner) LoadWords(addr uint32, n int) []uint32 {
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = r.Mem.PeekRAM(addr + uint32(4*i))
-	}
-	return out
-}
-
 // MulOS is the baseline operand-scanning multiplication (Algorithm 2) as
 // compiled code would execute it on the unextended core: the statically
 // scheduled MULT with MFLO/MFHI reads, carries handled with SLTU

@@ -295,3 +295,12 @@ func TestMemoryAccessCounting(t *testing.T) {
 			ms.RAMReads, ms.RAMWrites, stats.Loads, stats.Stores)
 	}
 }
+
+// LoadWords reads words from RAM.
+func (r *Runner) LoadWords(addr uint32, n int) []uint32 {
+	out := make([]uint32, n)
+	for i := range out {
+		out[i] = r.Mem.PeekRAM(addr + uint32(4*i))
+	}
+	return out
+}

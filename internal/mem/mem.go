@@ -39,11 +39,6 @@ func NewSystem() *System {
 	}
 }
 
-// LoadROM copies words into ROM starting at word index 0.
-func (s *System) LoadROM(words []uint32) {
-	copy(s.rom, words)
-}
-
 // ReadData performs a data-bus read (LW path).
 func (s *System) ReadData(addr uint32) uint32 {
 	switch {
@@ -84,6 +79,3 @@ func (s *System) CountInstFetch() { s.Stats.ROMInstReads++ }
 
 // CountLineFill records a 128-bit ROM read filling one cache line.
 func (s *System) CountLineFill() { s.Stats.ROMLineReads++ }
-
-// Reset clears the counters but not memory contents.
-func (s *System) Reset() { s.Stats = Stats{} }

@@ -7,14 +7,13 @@
 //
 // The cycle model is the paper's Equation 5.2 for CIOS Montgomery
 // multiplication — cc = 2k² + 6k + (k+1)p + 22 — which reproduces the
-// measured execution times of Table 7.4 to within one cycle, and the
-// functional model executes real CIOS arithmetic (internal/mp), so Monte
-// produces bit-exact field results.
+// measured execution times of Table 7.4 to within one cycle. The tests
+// hold the executable models that check it: a functional accelerator
+// running real CIOS arithmetic (internal/mp), and the FFAU micro-engine
+// running the CIOS microprogram cycle by cycle.
 package monte
 
-import (
-	"repro/internal/mp"
-)
+import "repro/internal/mp"
 
 // PipelineDepth is the FFAU arithmetic-core latency p in Equation 5.2
 // (two pipeline stages plus the output register).
@@ -26,26 +25,10 @@ type Config struct {
 	DoubleBuffer bool // overlap DMA with computation (Section 7.7)
 }
 
-// DefaultConfig is the system configuration evaluated in Section 7.1.
-func DefaultConfig() Config { return Config{WidthBits: 32, DoubleBuffer: true} }
-
-// Stats counts accelerator activity for the energy model.
-type Stats struct {
-	MulOps, AddOps, SubOps uint64
-	ComputeCycles          uint64 // cycles the FFAU datapath is busy
-	DMACycles              uint64 // cycles moving operands/results
-	BusyCycles             uint64 // wall-clock cycles Monte occupies (op latency)
-	ScratchReads           uint64 // AB/T scratchpad reads (3 per core op)
-	ScratchWrites          uint64
-	SharedReads            uint64 // shared-RAM words moved in
-	SharedWrites           uint64 // shared-RAM words moved out
-}
-
 // Monte is one accelerator instance bound to a prime field.
 type Monte struct {
-	Cfg   Config
-	F     *mp.Field // CIOS-configured field for functional results
-	Stats Stats
+	Cfg Config
+	F   *mp.Field // CIOS-configured field
 
 	k   int // words per element at the configured datapath width
 	k32 int // words per element on the 32-bit shared-RAM port
@@ -78,143 +61,10 @@ func AddSubCycles(k, p int) uint64 {
 	return uint64(2*k + p + 10)
 }
 
-// dmaCycles is the word count moved over the 32-bit shared-RAM port.
-func (m *Monte) dmaCycles(words int) uint64 { return uint64(words) }
-
-// issueOverhead models Pete's coprocessor-2 instruction issue and
-// synchronization per operation (cop2ld/cop2mul/cop2st decode + dispatch).
-const issueOverhead = 8
-
-// MontMul performs z = a*b*R^-1 mod p on the accelerator (operands in the
-// Montgomery domain) and accounts its latency. Returns the operation's
-// wall-clock cycles as seen by Pete.
-func (m *Monte) MontMul(z, a, b mp.Int) uint64 {
-	m.F.MontMul(z, a, b)
-	m.Stats.MulOps++
-	compute := CIOSCycles(m.k, PipelineDepth)
-	// Loads: A and B (k32 words each over the 32-bit port; N is
-	// resident). Store: k32 words.
-	dma := m.dmaCycles(3 * m.k32)
-	m.Stats.ComputeCycles += compute
-	m.Stats.DMACycles += dma
-	m.Stats.ScratchReads += 3 * compute // three operand reads per core cycle
-	m.Stats.ScratchWrites += compute
-	m.Stats.SharedReads += uint64(2 * m.k32)
-	m.Stats.SharedWrites += uint64(m.k32)
-	var busy uint64
-	if m.Cfg.DoubleBuffer {
-		// Data movement overlaps computation; the longer one wins
-		// (Section 5.4.1's reordering example).
-		busy = maxU64(compute, dma) + issueOverhead
-	} else {
-		busy = compute + dma + issueOverhead
-	}
-	m.Stats.BusyCycles += busy
-	return busy
-}
-
-// Add performs z = a+b mod p on the accelerator.
-func (m *Monte) Add(z, a, b mp.Int) uint64 {
-	m.F.Add(z, a, b)
-	m.Stats.AddOps++
-	return m.accountLinear()
-}
-
-// Sub performs z = a-b mod p on the accelerator.
-func (m *Monte) Sub(z, a, b mp.Int) uint64 {
-	m.F.Sub(z, a, b)
-	m.Stats.SubOps++
-	return m.accountLinear()
-}
-
-func (m *Monte) accountLinear() uint64 {
-	compute := AddSubCycles(m.k, PipelineDepth)
-	dma := m.dmaCycles(3 * m.k32)
-	m.Stats.ComputeCycles += compute
-	m.Stats.DMACycles += dma
-	m.Stats.ScratchReads += 2 * compute
-	m.Stats.ScratchWrites += compute
-	m.Stats.SharedReads += uint64(2 * m.k32)
-	m.Stats.SharedWrites += uint64(m.k32)
-	var busy uint64
-	if m.Cfg.DoubleBuffer {
-		busy = maxU64(compute, dma) + issueOverhead
-	} else {
-		busy = compute + dma + issueOverhead
-	}
-	m.Stats.BusyCycles += busy
-	return busy
-}
-
-// InvFermat inverts via Fermat's little theorem in microcode — the O(n³)
-// inversion that makes Monte's energy grow faster past 256 bits
-// (Section 7.1). Returns total busy cycles.
-func (m *Monte) InvFermat(z, a mp.Int) uint64 {
-	// Exponent p-2 processed MSB-first: a squaring per bit, a multiply
-	// per set bit. Functional result via the field.
-	e := make(mp.Int, m.F.K)
-	mp.Sub(e, m.F.P, m.F.One)
-	one := mp.New(m.F.K)
-	one[0] = 1
-	mp.Sub(e, e, one) // p-2
-	// Functional inverse.
-	tmp := make(mp.Int, m.F.K)
-	m.F.InvFermat(tmp, a)
-	copy(z, tmp)
-	// Timing: all operands stay resident in the FFAU scratchpad between
-	// steps, so only the first load and last store cross the DMA.
-	var busy uint64
-	compute := CIOSCycles(m.k, PipelineDepth)
-	bits := e.BitLen()
-	ones := 0
-	for i := 0; i < bits; i++ {
-		if e.Bit(i) == 1 {
-			ones++
-		}
-	}
-	steps := uint64(bits-1) + uint64(ones)
-	busy = steps*(compute+2) + m.dmaCycles(2*m.k32) + issueOverhead
-	m.Stats.ComputeCycles += steps * compute
-	m.Stats.ScratchReads += 3 * steps * compute
-	m.Stats.ScratchWrites += steps * compute
-	m.Stats.SharedReads += uint64(m.k32)
-	m.Stats.SharedWrites += uint64(m.k32)
-	m.Stats.BusyCycles += busy
-	m.Stats.MulOps += steps
-	return busy
-}
-
 // GenericMontMulCycles returns the FFAU execution time in cycles for one
 // CIOS multiplication at datapath width w bits on a key of `bits` bits —
 // the quantity Table 7.4 reports (at 100 MHz, 10 ns per cycle).
 func GenericMontMulCycles(bits, w int) uint64 {
 	k := (bits + w - 1) / w
 	return CIOSCycles(k, PipelineDepth)
-}
-
-// VerifyGenericWidth runs a real reduced-width CIOS multiplication
-// (internal/mp.GenericCIOS) and checks it against the 32-bit field — used
-// by the width-study tests to prove the narrow datapaths compute the same
-// mathematics.
-func VerifyGenericWidth(fieldName string, w uint, a, b mp.Int) bool {
-	f := mp.NISTField(fieldName, mp.CIOS)
-	n := mp.ToDigits(f.P, w)
-	n0 := mp.N0InvW(n[0], w)
-	got := mp.GenericCIOS(mp.ToDigits(a, w), mp.ToDigits(b, w), n, w, n0)
-	gotInt := mp.FromDigits(got, w, f.K)
-	// Reference via 32-bit CIOS with matching R: R differs when
-	// w*k(w) != 32*k(32), so compare against big-math through the field:
-	// both equal a*b*2^-(w·k) mod p; for widths where w·k matches 32·k
-	// (all NIST sizes with w ∈ {8,16,32,64} divide evenly) the reference
-	// is the 32-bit Montgomery product.
-	want := mp.New(f.K)
-	mp.MontMulCIOS(want, a, b, f.P, f.N0Inv)
-	return mp.Cmp(gotInt, want) == 0
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

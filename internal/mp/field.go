@@ -139,9 +139,6 @@ func (f *Field) Sub(z, a, b Int) {
 	}
 }
 
-// Dbl sets z = 2a mod p.
-func (f *Field) Dbl(z, a Int) { f.Add(z, a, a) }
-
 // Mul sets z = a * b mod p using the field's strategy. Operands and result
 // are in the plain domain.
 func (f *Field) Mul(z, a, b Int) {

@@ -91,20 +91,6 @@ func (x Int) Clone() Int {
 	return z
 }
 
-// SetUint64 sets x to v (x must have at least two words unless v fits one).
-func (x Int) SetUint64(v uint64) Int {
-	for i := range x {
-		x[i] = 0
-	}
-	x[0] = uint32(v)
-	if len(x) > 1 {
-		x[1] = uint32(v >> 32)
-	} else if v>>32 != 0 {
-		panic("mp: uint64 does not fit in one word")
-	}
-	return x
-}
-
 // IsZero reports whether x == 0.
 func (x Int) IsZero() bool {
 	for _, w := range x {

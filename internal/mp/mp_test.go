@@ -141,17 +141,6 @@ func TestSqrPSAgainstBig(t *testing.T) {
 	}
 }
 
-func TestKaratsubaWord(t *testing.T) {
-	err := quick.Check(func(a, b uint32) bool {
-		hi, lo := KaratsubaWord(a, b)
-		p := uint64(a) * uint64(b)
-		return uint64(hi)<<32|uint64(lo) == p
-	}, &quick.Config{MaxCount: 5000})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestN0Inv32(t *testing.T) {
 	err := quick.Check(func(n uint32) bool {
 		n |= 1 // must be odd

@@ -4,8 +4,7 @@ package mp
 // (Section 4.2.1): operand scanning (the baseline software choice) and
 // product scanning (the ISA-extension choice, which maps onto the
 // MADDU/SHA accumulator instructions). Both produce the full 2k-word
-// product. A word-level Karatsuba multiplier mirrors the baseline
-// hardware's multi-cycle multiply unit (Section 5.1.2).
+// product.
 
 // MulOS sets z = a * b using operand scanning (Algorithm 2). len(z) must be
 // len(a)+len(b). z must not alias a or b.
@@ -96,23 +95,4 @@ func SqrPS(z, a Int) {
 		v, u, t = u, t, 0
 	}
 	z[2*k-1] = v
-}
-
-// KaratsubaWord multiplies two 32-bit words using the divide-and-conquer
-// decomposition the baseline multi-cycle multiplier implements in hardware
-// (Equation 5.1): three 16/17-bit multiplies instead of four.
-// It returns the 64-bit product split into (hi, lo).
-func KaratsubaWord(a, b uint32) (hi, lo uint32) {
-	ah, al := a>>16, a&0xffff
-	bh, bl := b>>16, b&0xffff
-	// The hardware uses a 17x17 signed multiplier for the middle term.
-	hh := uint64(ah) * uint64(bh)
-	ll := uint64(al) * uint64(bl)
-	// mid = (ah-al)*(bl-bh), signed 17-bit operands.
-	da := int64(ah) - int64(al)
-	db := int64(bl) - int64(bh)
-	mid := da * db // fits in 34 bits signed
-	sum := int64(hh) + int64(ll) + mid
-	p := hh<<32 + uint64(sum)<<16 + ll
-	return uint32(p >> 32), uint32(p)
 }

@@ -77,19 +77,6 @@ func (r Result) SignCycles() uint64 { return r.phaseCycles(PhaseSign) }
 // VerifyCycles returns the verification phase's cycles (0 if absent).
 func (r Result) VerifyCycles() uint64 { return r.phaseCycles(PhaseVerify) }
 
-// SignEnergy returns the signature phase's energy breakdown (zero if the
-// workload has no sign phase).
-func (r Result) SignEnergy() energy.Breakdown {
-	p, _ := r.Phase(PhaseSign)
-	return p.Energy
-}
-
-// VerifyEnergy returns the verification phase's energy breakdown.
-func (r Result) VerifyEnergy() energy.Breakdown {
-	p, _ := r.Phase(PhaseVerify)
-	return p.Energy
-}
-
 // TotalCycles returns the whole workload's cycles.
 func (r Result) TotalCycles() uint64 {
 	var total uint64

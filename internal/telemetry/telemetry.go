@@ -22,9 +22,6 @@ import (
 // ready to use; all methods are safe for concurrent use.
 type Counter struct{ v atomic.Int64 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
 // Add adds n (n < 0 is a caller bug but not checked; counters are
 // convention-monotonic, not enforced).
 func (c *Counter) Add(n int64) { c.v.Add(n) }

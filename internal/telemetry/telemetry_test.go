@@ -9,7 +9,7 @@ import (
 
 func TestCounterGauge(t *testing.T) {
 	r := New()
-	r.Counter("a").Inc()
+	r.Counter("a").Add(1)
 	r.Counter("a").Add(2)
 	if got := r.Counter("a").Value(); got != 3 {
 		t.Errorf("counter = %d, want 3", got)
@@ -88,7 +88,7 @@ func TestRegistryConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				r.Counter("ops").Inc()
+				r.Counter("ops").Add(1)
 				r.Histogram("lat").Observe(time.Duration(i) * time.Microsecond)
 				if i%100 == 0 {
 					_ = r.Snapshot()

@@ -14,9 +14,9 @@
 //
 //   - Workloads: a workload is a named list of profiled phases, each a
 //     real, functionally-verified crypto operation. Four ship out of the
-//     box: WorkloadSignVerify (the paper's Sign+Verify scenario, the
-//     default), WorkloadKeyGen, WorkloadECDH, and WorkloadHandshake (the
-//     WSN mutual-authentication sequence key-gen + ECDH + sign + verify).
+//     box: "sign-verify" (the paper's Sign+Verify scenario, the
+//     default), "keygen", "ecdh", and WorkloadHandshake (the WSN
+//     mutual-authentication sequence key-gen + ECDH + sign + verify).
 //     Options.Workload selects one; results carry per-phase cycle and
 //     energy slices.
 //
@@ -42,21 +42,23 @@
 //   - Experiments: Experiment and Experiments regenerate the paper's
 //     tables and figures as formatted text, including the live-sweep
 //     "bestdesign", "ffauwidth" and "handshake" comparisons.
+//
+// The package exports what the examples and the bench harness call.
+// The dse command is built on internal/dse, internal/sim,
+// internal/report and internal/telemetry directly; its flags, axis
+// registry and -stats telemetry have no facade here.
 package repro
 
 import (
-	"flag"
 	"fmt"
 
 	"repro/internal/dse"
 	"repro/internal/ec"
 	"repro/internal/ecdsa"
-	"repro/internal/energy"
 	"repro/internal/gf2"
 	"repro/internal/mp"
 	"repro/internal/report"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // Architecture selects a point on the paper's acceleration spectrum
@@ -83,25 +85,9 @@ const (
 // priced workload).
 type Options = sim.Options
 
-// The shipped workloads (Options.Workload / SweepSpec.Workloads values).
-const (
-	// WorkloadSignVerify is the paper's evaluation scenario: one ECDSA
-	// signature plus one verification (the default).
-	WorkloadSignVerify = sim.WorkloadSignVerify
-	// WorkloadKeyGen is one deterministic key generation.
-	WorkloadKeyGen = sim.WorkloadKeyGen
-	// WorkloadECDH is one Diffie-Hellman key agreement.
-	WorkloadECDH = sim.WorkloadECDH
-	// WorkloadHandshake is the full WSN mutual-authentication handshake:
-	// key-gen + ECDH + sign + verify.
-	WorkloadHandshake = sim.WorkloadHandshake
-)
-
-// WorkloadNames lists the shipped workloads, default first.
-func WorkloadNames() []string { return sim.Workloads() }
-
-// PhaseResult is one priced workload phase (name, cycles, energy).
-type PhaseResult = sim.PhaseResult
+// WorkloadHandshake is the Options.Workload value for the full WSN
+// mutual-authentication handshake: key-gen + ECDH + sign + verify.
+const WorkloadHandshake = sim.WorkloadHandshake
 
 // DefaultOptions returns the paper's headline settings: 4 KB cache,
 // no prefetcher, double buffering on, digit size 3, 32-bit datapath.
@@ -110,15 +96,6 @@ func DefaultOptions() Options { return sim.DefaultOptions() }
 // SimResult is the outcome of simulating a Sign+Verify on a
 // configuration.
 type SimResult = sim.Result
-
-// Breakdown is per-component energy in Joules.
-type Breakdown = energy.Breakdown
-
-// CurveNames lists all ten supported NIST curves, primes first.
-func CurveNames() []string {
-	out := append([]string{}, ec.PrimeCurveNames...)
-	return append(out, ec.BinaryCurveNames...)
-}
 
 // Curve is a unified handle over prime and binary NIST curves.
 type Curve struct {
@@ -138,7 +115,7 @@ func NewCurve(name string) (*Curve, error) {
 	}
 	for _, n := range ec.BinaryCurveNames {
 		if n == name {
-			return &Curve{name: name, binary: ec.NISTBinaryCurve(name, gf2.CLMul)}, nil
+			return &Curve{name: name, binary: ec.NISTBinaryCurve(name, gf2.Comb)}, nil
 		}
 	}
 	return nil, fmt.Errorf("repro: unknown curve %q", name)
@@ -146,9 +123,6 @@ func NewCurve(name string) (*Curve, error) {
 
 // Name returns the curve name.
 func (c *Curve) Name() string { return c.name }
-
-// IsBinary reports whether the curve is a GF(2^m) curve.
-func (c *Curve) IsBinary() bool { return c.binary != nil }
 
 // SecurityBits returns the approximate symmetric-equivalent security.
 func (c *Curve) SecurityBits() int {
@@ -220,51 +194,6 @@ func Simulate(arch Architecture, curveName string, opt Options) (SimResult, erro
 	return sim.Run(arch, curveName, opt)
 }
 
-// RegisterAxisFlags registers one CLI flag per design-space axis on fs
-// (call before fs.Parse) and returns an apply function copying the
-// parsed values into an Options. The flag names, defaults and usage
-// strings come from the dse axis registry, so a newly registered axis
-// surfaces on any CLI built this way without per-flag wiring.
-func RegisterAxisFlags(fs *flag.FlagSet) func(*Options) {
-	return dse.RegisterAxisFlags(fs)
-}
-
-// RegisterDimensionFlags registers the dimension axes' selection flags
-// (-arch, -curve) on fs from the dse axis registry and returns the
-// bound values keyed by flag name; convert them with ParseArchitecture
-// / ParseCurveName, which reject typos with the registry's guidance.
-func RegisterDimensionFlags(fs *flag.FlagSet) map[string]*string {
-	return dse.RegisterDimensionFlags(fs)
-}
-
-// ParseArchitecture parses a CLI architecture name through the dse
-// registry's arch dimension axis: the canonical names plus the
-// historical short spellings ("isaext", "icache"), case-insensitively.
-// A typo fails with an error listing the valid names.
-func ParseArchitecture(s string) (Architecture, error) { return dse.ParseArch(s) }
-
-// ParseCurveName validates a CLI curve name through the dse registry's
-// curve dimension axis, failing with the same unknown-curve guidance
-// sweep validation gives.
-func ParseCurveName(s string) (string, error) { return dse.ParseCurve(s) }
-
-// AxesHelp renders the design-space axis registry as help text: one
-// line per axis — the arch/curve dimensions first, then the option
-// knobs — with its CLI flag, description and value domain.
-func AxesHelp() string { return dse.AxesHelp() }
-
-// CheckAxisFlag checks a set int axis flag's value against its axis's
-// modeled domain, with the message a sweep gives the same value.
-func CheckAxisFlag(f *flag.Flag) error { return dse.CheckAxisFlag(f) }
-
-// AxisFlagNames lists the CLI flag names RegisterAxisFlags generates
-// (option axes only), in registry order.
-func AxisFlagNames() []string { return dse.AxisFlagNames() }
-
-// RelevantAxisFlags lists the option flags that can change a result on
-// architecture a (the dse registry's arch-level relevance).
-func RelevantAxisFlags(a Architecture) []string { return dse.RelevantAxisFlags(a) }
-
 // Design-space exploration types, re-exported from internal/dse.
 type (
 	// SweepSpec declares a region of the design space as sets per axis;
@@ -279,13 +208,9 @@ type (
 	// SweepPoint is one evaluated design point with its derived
 	// energy/latency/EDP metrics.
 	SweepPoint = dse.Point
-	// SweepConfig is one fully-specified design point.
-	SweepConfig = dse.Config
 	// BestPerLevel holds the optimal design points for one security
 	// level.
 	BestPerLevel = dse.BestPerLevel
-	// LevelFrontier is the Pareto frontier within one security level.
-	LevelFrontier = dse.LevelFrontier
 	// AdaptiveResult is the outcome of an adaptive exploration: the
 	// evaluated cloud (shaped as a SweepResult), the per-security-level
 	// frontiers, and the exploration economics.
@@ -335,53 +260,8 @@ func BestPerSecurity(points []SweepPoint) []BestPerLevel {
 // RankByEDP returns the points sorted by ascending energy-delay product.
 func RankByEDP(points []SweepPoint) []SweepPoint { return dse.ByEDP(points) }
 
-// ParetoPerSecurity returns the energy-vs-latency frontier within each
-// security level — the comparison at fixed key strength.
-func ParetoPerSecurity(points []SweepPoint) []LevelFrontier {
-	return dse.ParetoPerLevel(points)
-}
-
-// SweepFrontiersJSON renders the global and per-security-level Pareto
-// frontiers of a point set as machine-readable indented JSON.
-func SweepFrontiersJSON(points []SweepPoint) ([]byte, error) {
-	return dse.FrontierJSONBytes(points)
-}
-
-// Telemetry types, re-exported from internal/telemetry. A Metrics
-// registry attached to SweepOptions.Metrics (optionally propagated into
-// the simulator with EnableSimMetrics) collects counters and latency
-// histograms out-of-band: results, keys, hashes and store bytes are
-// byte-identical with and without instrumentation.
-type (
-	// Metrics is a race-safe registry of named counters and
-	// log-bucketed latency histograms.
-	Metrics = telemetry.Registry
-	// MetricsSnapshot is a point-in-time JSON-ready view of a registry.
-	MetricsSnapshot = telemetry.Snapshot
-)
-
-// NewMetrics returns an empty telemetry registry.
-func NewMetrics() *Metrics { return telemetry.New() }
-
-// EnableSimMetrics points the simulator's per-phase instrumentation
-// (profiling-vs-pricing split, assembly cost) at reg; nil disables it.
-// The hook is process-wide because simulation runs under the sweep's
-// memoizing cache — results must not depend on which caller triggered
-// them, so the simulator cannot take per-call telemetry options.
-func EnableSimMetrics(reg *Metrics) { sim.SetMetrics(reg) }
-
-// SweepCacheStats returns the process-wide result cache's cumulative
-// hit/miss counts and current size — every sweep that used the shared
-// cache since process start. Per-sweep accounting lives on SweepResult.
-func SweepCacheStats() (hits, misses uint64, entries int) {
-	c := dse.SharedCache()
-	hits, misses = c.Stats()
-	return hits, misses, c.Len()
-}
-
 // ResetSweepCache drops the process-wide result cache's contents and
-// zeroes its counters, scoping subsequent SweepCacheStats readings to
-// the sweeps that follow.
+// zeroes its counters, so the sweeps that follow start cold.
 func ResetSweepCache() { dse.SharedCache().Reset() }
 
 // Experiment regenerates one of the paper's tables or figures by

@@ -4,10 +4,13 @@ import (
 	"crypto/sha256"
 	"strings"
 	"testing"
+
+	"repro/internal/dse"
+	"repro/internal/sim"
 )
 
 func TestPublicAPISignVerify(t *testing.T) {
-	for _, name := range CurveNames() {
+	for _, name := range dse.AllCurves() {
 		c, err := NewCurve(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -37,11 +40,8 @@ func TestPublicAPISignVerify(t *testing.T) {
 func TestCurveMetadata(t *testing.T) {
 	p, _ := NewCurve("P-256")
 	b, _ := NewCurve("B-283")
-	if p.IsBinary() || !b.IsBinary() {
-		t.Error("IsBinary wrong")
-	}
-	if p.SecurityBits() != 128 {
-		t.Errorf("P-256 security = %d, want 128", p.SecurityBits())
+	if p.SecurityBits() != 128 || b.SecurityBits() != 141 {
+		t.Errorf("P-256/B-283 security = %d/%d, want 128/141", p.SecurityBits(), b.SecurityBits())
 	}
 	if _, err := NewCurve("P-999"); err == nil {
 		t.Error("unknown curve should error")
@@ -103,10 +103,6 @@ func TestExperimentAPI(t *testing.T) {
 }
 
 func TestWorkloadAPI(t *testing.T) {
-	names := WorkloadNames()
-	if len(names) != 4 || names[0] != WorkloadSignVerify {
-		t.Fatalf("WorkloadNames() = %v", names)
-	}
 	opt := DefaultOptions()
 	opt.Workload = WorkloadHandshake
 	r, err := Simulate(ArchMonte, "P-256", opt)
@@ -132,7 +128,7 @@ func TestWorkloadAPI(t *testing.T) {
 	spec := SweepSpec{
 		Archs:     []Architecture{ArchBaseline},
 		Curves:    []string{"P-192"},
-		Workloads: []string{WorkloadKeyGen, WorkloadECDH},
+		Workloads: []string{sim.WorkloadKeyGen, sim.WorkloadECDH},
 	}
 	res, err := Sweep(spec, SweepOptions{})
 	if err != nil {
