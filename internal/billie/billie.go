@@ -42,12 +42,14 @@ func New(cfg Config) *Billie {
 	return &Billie{Cfg: cfg, F: gf2.NISTField(cfg.FieldName, gf2.CLMul)}
 }
 
-// MulCycles is the digit-serial multiplication latency: ceil(m/D)
-// iterations plus the final reduction and result write-back.
-func (b *Billie) MulCycles() uint64 {
-	d := b.Cfg.Digit
-	return uint64((b.F.M+d-1)/d) + 3
-}
+// MulCycles is the digit-serial multiplication latency of the instance's
+// field and digit (DigitSerialCycles).
+func (b *Billie) MulCycles() uint64 { return DigitSerialCycles(b.F.M, b.Cfg.Digit) }
+
+// DigitSerialCycles is the latency of one digit-serial multiplication in
+// GF(2^m) with digit size d: ceil(m/d) iterations plus the final
+// reduction and result write-back.
+func DigitSerialCycles(m, d int) uint64 { return uint64((m+d-1)/d) + 3 }
 
 // ScalarMultCycles estimates one m-bit scalar point multiplication on
 // Billie with the sliding-window algorithm (the Figure 7.14 primitive):

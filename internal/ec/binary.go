@@ -88,12 +88,10 @@ func (c *BinaryCurve) Dbl(p, q *LDPoint) {
 		return
 	}
 	k := f.K
-	t1 := gf2.New(k) // Z1^2
-	t2 := gf2.New(k) // X1^2
-	bz4 := gf2.New(k)
-	x3 := gf2.New(k)
-	y3 := gf2.New(k)
-	z3 := gf2.New(k)
+	var buf [6 * binaryStackWords]uint32
+	s := gf2.Elem(scratch(buf[:], 6*k))
+	t1, t2, bz4 := s[:k], s[k:2*k], s[2*k:3*k]
+	x3, y3, z3 := s[3*k:4*k], s[4*k:5*k], s[5*k:]
 
 	f.Sqr(t1, q.Z)       // t1 = Z1^2
 	f.Sqr(t2, q.X)       // t2 = X1^2
@@ -129,9 +127,11 @@ func (c *BinaryCurve) AddMixed(p, q *LDPoint, r *BinaryAffinePoint) {
 		return
 	}
 	k := f.K
-	a := gf2.New(k)
-	b := gf2.New(k)
-	t := gf2.New(k)
+	var buf [12 * binaryStackWords]uint32
+	s := gf2.Elem(scratch(buf[:], 12*k))
+	a, b, t, cc := s[:k], s[k:2*k], s[2*k:3*k], s[3*k:4*k]
+	d, t2, z3, e := s[4*k:5*k], s[5*k:6*k], s[6*k:7*k], s[7*k:8*k]
+	x3, ff, g, y3 := s[8*k:9*k], s[9*k:10*k], s[10*k:11*k], s[11*k:]
 
 	f.Sqr(t, q.Z)      // t = Z1^2
 	f.Mul(a, r.Y, t)   // A = Y2 Z1^2
@@ -148,36 +148,27 @@ func (c *BinaryCurve) AddMixed(p, q *LDPoint, r *BinaryAffinePoint) {
 		p.Set(c.NewPoint()) // q = -r
 		return
 	}
-	cc := gf2.New(k)
 	f.Mul(cc, q.Z, b) // C = Z1 B
-	d := gf2.New(k)
-	f.Sqr(d, b) // B^2
-	t2 := gf2.New(k)
+	f.Sqr(d, b)       // B^2
 	if c.A == 1 {
 		f.Add(t2, cc, t) // C + a Z1^2 with a=1
 	} else {
 		copy(t2, cc)
 	}
-	f.Mul(d, d, t2) // D = B^2 (C + a Z1^2)
-	z3 := gf2.New(k)
-	f.Sqr(z3, cc) // Z3 = C^2
-	e := gf2.New(k)
-	f.Mul(e, a, cc) // E = A C
-	x3 := gf2.New(k)
-	f.Sqr(x3, a)     // A^2
-	f.Add(x3, x3, d) //
-	f.Add(x3, x3, e) // X3 = A^2 + D + E
-	ff := gf2.New(k)
-	f.Mul(t, r.X, z3) // X2 Z3
-	f.Add(ff, x3, t)  // F = X3 + X2 Z3
-	g := gf2.New(k)
+	f.Mul(d, d, t2)    // D = B^2 (C + a Z1^2)
+	f.Sqr(z3, cc)      // Z3 = C^2
+	f.Mul(e, a, cc)    // E = A C
+	f.Sqr(x3, a)       // A^2
+	f.Add(x3, x3, d)   //
+	f.Add(x3, x3, e)   // X3 = A^2 + D + E
+	f.Mul(t, r.X, z3)  // X2 Z3
+	f.Add(ff, x3, t)   // F = X3 + X2 Z3
 	f.Add(t, r.X, r.Y) // X2 + Y2
 	f.Sqr(t2, z3)      // Z3^2
 	f.Mul(g, t, t2)    // G = (X2 + Y2) Z3^2
-	y3 := gf2.New(k)
-	f.Add(t, e, z3)  // E + Z3
-	f.Mul(y3, t, ff) // (E + Z3) F
-	f.Add(y3, y3, g) // Y3 = (E+Z3) F + G
+	f.Add(t, e, z3)    // E + Z3
+	f.Mul(y3, t, ff)   // (E + Z3) F
+	f.Add(y3, y3, g)   // Y3 = (E+Z3) F + G
 	copy(p.X, x3)
 	copy(p.Y, y3)
 	copy(p.Z, z3)

@@ -107,12 +107,10 @@ func (c *PrimeCurve) Dbl(p, q *JacobianPoint) {
 		return
 	}
 	k := f.K
-	t1 := mp.New(k)
-	t2 := mp.New(k)
-	t3 := mp.New(k)
-	x3 := mp.New(k)
-	y3 := mp.New(k)
-	z3 := mp.New(k)
+	var buf [6 * primeStackWords]uint32
+	s := mp.Int(scratch(buf[:], 6*k))
+	t1, t2, t3 := s[:k], s[k:2*k], s[2*k:3*k]
+	x3, y3, z3 := s[3*k:4*k], s[4*k:5*k], s[5*k:]
 
 	f.Sqr(t1, q.Z)      // t1 = Z^2
 	f.Sub(t2, q.X, t1)  // t2 = X - Z^2
@@ -135,6 +133,22 @@ func (c *PrimeCurve) Dbl(p, q *JacobianPoint) {
 	copy(p.X, x3)
 	copy(p.Y, y3)
 	copy(p.Z, z3)
+}
+
+// The point formulas carve their temporaries from stack buffers sized for
+// the largest NIST field of each family; a wider field's spill to the
+// heap.
+const (
+	primeStackWords  = 17 // P-521
+	binaryStackWords = 18 // B-571
+)
+
+// scratch returns buf[:n], or a fresh slice when n exceeds buf.
+func scratch(buf []uint32, n int) []uint32 {
+	if n > len(buf) {
+		return make([]uint32, n)
+	}
+	return buf[:n]
 }
 
 // halve sets a = a/2 mod p.
@@ -162,10 +176,10 @@ func (c *PrimeCurve) AddMixed(p, q *JacobianPoint, r *AffinePoint) {
 		return
 	}
 	k := f.K
-	t1 := mp.New(k)
-	t2 := mp.New(k)
-	t3 := mp.New(k)
-	t4 := mp.New(k)
+	var buf [7 * primeStackWords]uint32
+	s := mp.Int(scratch(buf[:], 7*k))
+	t1, t2, t3, t4 := s[:k], s[k:2*k], s[2*k:3*k], s[3*k:4*k]
+	x3, y3, z3 := s[4*k:5*k], s[5*k:6*k], s[6*k:]
 
 	f.Sqr(t1, q.Z)     // t1 = Z1^2
 	f.Mul(t2, t1, q.Z) // t2 = Z1^3
@@ -184,12 +198,10 @@ func (c *PrimeCurve) AddMixed(p, q *JacobianPoint, r *AffinePoint) {
 		p.Set(z)
 		return
 	}
-	z3 := mp.New(k)
 	f.Mul(z3, q.Z, t1) // Z3 = Z1 H
 	f.Sqr(t3, t1)      // t3 = H^2
 	f.Mul(t4, t3, t1)  // t4 = H^3
 	f.Mul(t3, t3, q.X) // t3 = X1 H^2
-	x3 := mp.New(k)
 	f.Sqr(x3, t2)      // x3 = R^2
 	f.Sub(x3, x3, t4)  // - H^3
 	f.Sub(x3, x3, t3)  //
@@ -197,8 +209,7 @@ func (c *PrimeCurve) AddMixed(p, q *JacobianPoint, r *AffinePoint) {
 	f.Sub(t3, t3, x3)  // t3 = X1 H^2 - X3
 	f.Mul(t3, t3, t2)  // t3 = R (X1 H^2 - X3)
 	f.Mul(t4, t4, q.Y) // t4 = Y1 H^3
-	y3 := mp.New(k)
-	f.Sub(y3, t3, t4) // Y3
+	f.Sub(y3, t3, t4)  // Y3
 	copy(p.X, x3)
 	copy(p.Y, y3)
 	copy(p.Z, z3)

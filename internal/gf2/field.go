@@ -1,6 +1,9 @@
 package gf2
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // MulAlg selects the multiplication strategy the binary field uses,
 // mirroring the paper's software-only vs ISA-extended configurations.
@@ -70,8 +73,13 @@ func NISTField(name string, alg MulAlg) *Field {
 }
 
 // NewField builds a binary field GF(2^m) with reduction polynomial
-// x^m + Σ x^terms + 1.
+// x^m + Σ x^terms + 1. It panics unless every term lies at least 64 bits
+// below m, the condition the one-pass fold (fold) rests on; the five NIST
+// polynomials meet it.
 func NewField(name string, m int, terms []int, alg MulAlg) *Field {
+	if m-slices.Max(append([]int{0}, terms...)) < 64 {
+		panic(fmt.Sprintf("gf2: %s: reduction terms %v not all 64 bits below m = %d", name, terms, m))
+	}
 	k := (m + 31) / 32
 	f := &Field{Name: name, M: m, K: k, Terms: append([]int(nil), terms...), Alg: alg}
 	f.One = New(k)
@@ -85,96 +93,99 @@ func (f *Field) Add(z, a, b Elem) {
 	Add(z, a, b)
 }
 
-// Mul sets z = a*b mod f.
+// Mul sets z = a*b mod f. On Comb the operands are packed once and the
+// product is formed and folded on 64-bit limbs; CLMul forms the 32-bit
+// product word by word and folds it through ReduceFull.
 func (f *Field) Mul(z, a, b Elem) {
 	f.Counters.Mul++
-	var buf [2 * stackWords]uint32
-	c := scratch(buf[:], 2*f.K)
-	if f.Alg == Comb {
-		MulComb(c, a, b)
-	} else {
-		MulCl(c, a, b)
-	}
 	f.Counters.Red++
-	f.ReduceFull(z, c)
+	if f.Alg != Comb {
+		var buf [2 * stackWords]uint32
+		c := scratch(buf[:], 2*f.K)
+		MulCl(c, a, b)
+		f.ReduceFull(z, c)
+		return
+	}
+	var cbuf [2 * stackLimbs]uint64
+	c := scratch(cbuf[:], 2*((f.K+1)/2))
+	mulComb(c, a, b)
+	f.fold(c)
+	unpack(z, c)
 }
 
-// Sqr sets z = a^2 mod f.
+// Sqr sets z = a^2 mod f. On Comb each word spreads through sqrTable
+// straight into a 64-bit limb; CLMul squares word by word and folds the
+// product through ReduceFull.
 func (f *Field) Sqr(z, a Elem) {
 	f.Counters.Sqr++
-	var buf [2 * stackWords]uint32
-	c := scratch(buf[:], 2*f.K)
-	if f.Alg == Comb {
-		SqrTable(c, a)
-	} else {
-		SqrCl(c, a)
-	}
 	f.Counters.Red++
-	f.ReduceFull(z, c)
-}
-
-// ReduceFull reduces a 2k-word polynomial c modulo f into z (k words).
-// It is the generic word-wise fold of the NIST fast-reduction routines
-// (e.g. Algorithm 7 for B-163): every bit at position m+j folds back to
-// positions j + e for e in {terms..., 0}.
-func (f *Field) ReduceFull(z Elem, c Elem) {
-	var buf [2 * stackWords]uint32
-	t := scratch(buf[:], len(c))
-	copy(t, c)
-	m := f.M
-	// Process from the top word down; repeat in case folds re-set high
-	// bits (cannot happen for m+terms spread < 32... but the loop makes
-	// the routine correct for any f).
-	for {
-		top := -1
-		for i := len(t) - 1; i >= m/32; i-- {
-			if i == m/32 {
-				if t[i]>>(uint(m)%32) == 0 {
-					continue
-				}
-			}
-			if t[i] != 0 {
-				top = i
-				break
-			}
-		}
-		if top == -1 {
-			break
-		}
-		for i := top; i > m/32; i-- {
-			w := t[i]
-			if w == 0 {
-				continue
-			}
-			t[i] = 0
-			base := 32*i - m
-			for _, e := range f.Terms {
-				xorShifted(t, w, base+e)
-			}
-			xorShifted(t, w, base)
-		}
-		// Handle the partial top word: bits m..(32*(m/32+1)-1).
-		i := m / 32
-		sh := uint(m) % 32
-		w := t[i] >> sh
-		if w != 0 {
-			t[i] &= (1 << sh) - 1
-			for _, e := range f.Terms {
-				xorShifted(t, w, e)
-			}
-			xorShifted(t, w, 0)
-		}
+	if f.Alg != Comb {
+		var buf [2 * stackWords]uint32
+		c := scratch(buf[:], 2*f.K)
+		SqrCl(c, a)
+		f.ReduceFull(z, c)
+		return
 	}
-	copy(z, t[:f.K])
+	var cbuf [stackWords]uint64
+	c := scratch(cbuf[:], f.K)
+	for i, w := range a {
+		c[i] = spread(w)
+	}
+	f.fold(c)
+	unpack(z, c)
 }
 
-// xorShifted xors the 32-bit value w, left-shifted by bit positions pos,
+// ReduceFull reduces the polynomial c (at most 2k words) modulo f into z
+// (k words): it packs c into 64-bit limbs and runs fold, the NIST fast
+// reduction every field operation ends in.
+func (f *Field) ReduceFull(z Elem, c Elem) {
+	var buf [stackWords]uint64
+	t := scratch(buf[:], (len(c)+1)/2)
+	pack(t, c)
+	f.fold(t)
+	unpack(z, t)
+}
+
+// fold reduces the 64-bit-limb polynomial t modulo f in place, leaving the
+// residue in the limbs below m. It is the word-wise form of the NIST fast
+// reduction routines (e.g. Algorithm 7 for B-163): every bit at position
+// m+j folds back to positions j + e for e in {terms..., 0}. Limbs above
+// m/64 fold from the top down, then the bits of the partial top limb at
+// and above m. One pass suffices because every term lies at least 64 bits
+// below m (NewField checks it): a folded limb lands wholly in lower limbs,
+// and the partial limb's bits land below m.
+func (f *Field) fold(t []uint64) {
+	m := f.M
+	top := m / 64
+	for i := len(t) - 1; i > top; i-- {
+		w := t[i]
+		if w == 0 {
+			continue
+		}
+		t[i] = 0
+		base := 64*i - m
+		for _, e := range f.Terms {
+			xorShifted(t, w, base+e)
+		}
+		xorShifted(t, w, base)
+	}
+	sh := uint(m) % 64
+	if w := t[top] >> sh; w != 0 {
+		t[top] &= 1<<sh - 1
+		for _, e := range f.Terms {
+			xorShifted(t, w, e)
+		}
+		xorShifted(t, w, 0)
+	}
+}
+
+// xorShifted xors the 64-bit value w, left-shifted by bit positions pos,
 // into t.
-func xorShifted(t Elem, w uint32, pos int) {
-	wi, sh := pos/32, uint(pos)%32
-	t[wi] ^= w << sh
-	if sh != 0 && wi+1 < len(t) {
-		t[wi+1] ^= w >> (32 - sh)
+func xorShifted(t []uint64, w uint64, pos int) {
+	i, sh := pos/64, uint(pos)%64
+	t[i] ^= w << sh
+	if sh != 0 && i+1 < len(t) {
+		t[i+1] ^= w >> (64 - sh)
 	}
 }
 
@@ -204,9 +215,9 @@ func (f *Field) Inv(z, a Elem) {
 		xorPolyShift(g1, g2, j)
 	}
 	if u.IsOne() {
-		f.ReduceFull(z, padTo(g1, 2*f.K))
+		f.ReduceFull(z, g1)
 	} else {
-		f.ReduceFull(z, padTo(g2, 2*f.K))
+		f.ReduceFull(z, g2)
 	}
 }
 
@@ -236,15 +247,6 @@ func xorPolyShift(a, b Elem, j int) {
 			a[i+wi+1] ^= b[i] >> (32 - sh)
 		}
 	}
-}
-
-func padTo(a Elem, n int) Elem {
-	if len(a) >= n {
-		return a[:n]
-	}
-	z := New(n)
-	copy(z, a)
-	return z
 }
 
 // String describes the field.

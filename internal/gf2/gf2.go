@@ -5,6 +5,13 @@
 // squaring, NIST fast reduction for the five binary fields, and inversion
 // by the polynomial extended Euclidean algorithm. (The accelerators'
 // Itoh–Tsujii inversion is priced, not executed: see sim and billie.)
+//
+// Elements are 32-bit words, the datapath the paper's kernels run on, but
+// the host computes on 64-bit limbs: a Comb field multiplication packs
+// its operands once, combs them into a 64-bit product on stack scratch
+// and reduces it with fold, the one-pass 64-bit NIST fold; table squaring
+// spreads words straight into 64-bit limbs for the same fold. The CLMul
+// path and inversion reduce through ReduceFull, which runs fold too.
 package gf2
 
 import (
@@ -173,46 +180,60 @@ func MulCl(z, a, b Elem) {
 	z[2*k-1] = v
 }
 
-// MulComb sets z = a * b (unreduced, 2k words) using the left-to-right comb
-// method with 4-bit windows (Algorithm 6), the software-only multiplication
-// for processors without a carry-less multiplier. z may alias a or b.
-//
+// MulComb sets z = a * b (unreduced, 2k words) by the comb method
+// (Algorithm 6): mulComb, the one comb Field.Mul also runs, unpacked to
+// 32-bit words. z may alias a or b.
+func MulComb(z, a, b Elem) {
+	k := len(a)
+	var cbuf [2 * stackLimbs]uint64
+	c := scratch(cbuf[:], 2*((k+1)/2))
+	mulComb(c, a, b)
+	unpack(z[:2*k], c)
+}
+
+// mulComb sets c = a * b, on 64-bit limbs, using the left-to-right comb
+// method with 4-bit windows (Algorithm 6), the software-only
+// multiplication for processors without a carry-less multiplier. It packs
+// the k-word operands into n = ceil(k/2) limbs and fills c's 2n limbs.
 // The host runs the comb on 64-bit limbs, half the XOR and shift work of
 // 32-bit ones; the Algorithm 6 kernel the model prices (kernels.MulComb)
-// stays on the 32-bit datapath. Fields up to stackWords words run on stack
-// scratch, larger ones on heap scratch.
-func MulComb(z, a, b Elem) {
+// stays on the 32-bit datapath.
+func mulComb(c []uint64, a32, b32 Elem) {
 	const w = 4
-	k := len(a)
-	n := (k + 1) / 2 // 64-bit limbs per operand
-	var abuf, bbuf [stackWords / 2]uint64
-	var tbuf [16 * (stackWords/2 + 1)]uint64
-	var cbuf [stackWords]uint64
-	a64, b64 := scratch(abuf[:], n), scratch(bbuf[:], n)
-	pack(a64, a)
-	pack(b64, b)
-	// Precompute Bu = u(x)·b(x) for all u of degree < 4, n+1 limbs each
-	// (scratch starts zeroed).
-	tab := scratch(tbuf[:], 16*(n+1))
-	copy(tab[n+1:], b64)
+	n := len(c) / 2
+	var abuf, bbuf [stackLimbs]uint64
+	a, b := scratch(abuf[:], n), scratch(bbuf[:], n)
+	pack(a, a32)
+	pack(b, b32)
+	// Precompute rows[u] = u(x)·b(x) for all u of degree < 4, n+1 limbs
+	// each (scratch starts zeroed).
+	s := n + 1
+	var tbuf [16 * (stackLimbs + 1)]uint64
+	tab := scratch(tbuf[:], 16*s)
+	var rows [16][]uint64
+	for u := range rows {
+		rows[u] = tab[u*s : (u+1)*s]
+	}
+	copy(rows[1], b)
 	for u := 2; u < 16; u += 2 {
-		// tab[u] = tab[u/2] << 1 ; tab[u+1] = tab[u] + b
-		src, even, odd := tab[u/2*(n+1):][:n+1], tab[u*(n+1):][:n+1], tab[(u+1)*(n+1):][:n+1]
+		// rows[u] = rows[u/2] << 1 ; rows[u+1] = rows[u] + b
+		src, even, odd := rows[u/2], rows[u], rows[u+1]
 		var carry uint64
-		for i := range even {
-			even[i] = src[i]<<1 | carry
-			carry = src[i] >> 63
+		for i, sw := range src {
+			even[i] = sw<<1 | carry
+			carry = sw >> 63
 		}
 		copy(odd, even)
-		for i, bw := range b64 {
+		for i, bw := range b {
 			odd[i] ^= bw
 		}
 	}
-	c := scratch(cbuf[:], 2*n)
+	clear(c)
 	for j := 64/w - 1; j >= 0; j-- {
-		for i, aw := range a64 {
+		for i, aw := range a {
 			if u := (aw >> uint(w*j)) & 0xf; u != 0 {
-				row, ci := tab[int(u)*(n+1):][:n+1], c[i:][:n+1]
+				row := rows[u]
+				ci := c[i : i+len(row)]
 				for l, t := range row {
 					ci[l] ^= t
 				}
@@ -227,14 +248,15 @@ func MulComb(z, a, b Elem) {
 			}
 		}
 	}
-	for i := range z[:2*k] {
-		z[i] = uint32(c[i/2] >> (32 * uint(i%2)))
-	}
 }
 
 // stackWords bounds the field size, in 32-bit words, whose multiplication
-// and reduction scratch lives on the stack: B-571 is 18 words.
-const stackWords = 18
+// and reduction scratch lives on the stack: B-571 is 18 words, stackLimbs
+// 64-bit limbs.
+const (
+	stackWords = 18
+	stackLimbs = stackWords / 2
+)
 
 // scratch returns buf[:n], or a fresh slice when n exceeds buf.
 func scratch[T uint32 | uint64](buf []T, n int) []T {
@@ -255,6 +277,13 @@ func pack(z []uint64, a Elem) {
 	}
 }
 
+// unpack sets the 32-bit words of z from the low limbs of c.
+func unpack(z Elem, c []uint64) {
+	for i := range z {
+		z[i] = uint32(c[i/2] >> (32 * uint(i%2)))
+	}
+}
+
 // sqrTable maps an 8-bit polynomial to its 16-bit square (zeros interleaved)
 // — the precomputed table the software-only squaring uses (Section 4.2.3).
 var sqrTable = func() [256]uint16 {
@@ -271,14 +300,19 @@ var sqrTable = func() [256]uint16 {
 	return t
 }()
 
+// spread returns w^2 as a 64-bit polynomial, zeros interleaved through
+// sqrTable.
+func spread(w uint32) uint64 {
+	return uint64(sqrTable[w&0xff]) | uint64(sqrTable[(w>>8)&0xff])<<16 |
+		uint64(sqrTable[(w>>16)&0xff])<<32 | uint64(sqrTable[w>>24])<<48
+}
+
 // SqrTable sets z = a^2 (unreduced, 2k words) by interleaving zeros with an
 // 8-bit lookup table.
 func SqrTable(z, a Elem) {
-	k := len(a)
-	for i := 0; i < k; i++ {
-		w := a[i]
-		z[2*i] = uint32(sqrTable[w&0xff]) | uint32(sqrTable[(w>>8)&0xff])<<16
-		z[2*i+1] = uint32(sqrTable[(w>>16)&0xff]) | uint32(sqrTable[(w>>24)&0xff])<<16
+	for i, w := range a {
+		s := spread(w)
+		z[2*i], z[2*i+1] = uint32(s), uint32(s>>32)
 	}
 }
 

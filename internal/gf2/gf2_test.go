@@ -185,6 +185,66 @@ func TestReduction(t *testing.T) {
 	}
 }
 
+// TestReductionEdgeOperands checks the one-pass fold on the operands
+// that stress it, on every NIST field and on F-607, whose elements spill
+// to heap scratch: the all-ones 2k-word product, a single set bit at each
+// position from m-1 to m+64 (across the partial top limb and the first
+// full limb above it) and at 2m-2 (the top of a reduced product), and
+// zero.
+func TestReductionEdgeOperands(t *testing.T) {
+	for _, name := range append(BinaryFieldNames, "F-607") {
+		f := wideField(Comb)
+		if name != "F-607" {
+			f = NISTField(name, Comb)
+		}
+		fb := f.bigModulus()
+		ones := New(2 * f.K)
+		for i := range ones {
+			ones[i] = ^uint32(0)
+		}
+		cases := []Elem{ones, New(2 * f.K)}
+		bits := []int{2*f.M - 2}
+		for bit := f.M - 1; bit <= f.M+64; bit++ {
+			bits = append(bits, bit)
+		}
+		for _, bit := range bits {
+			c := New(2 * f.K)
+			c[bit/32] = 1 << (bit % 32)
+			cases = append(cases, c)
+		}
+		for _, c := range cases {
+			z := New(f.K)
+			f.ReduceFull(z, c)
+			if want := bigMod(toBig(c), fb); toBig(z).Cmp(want) != 0 {
+				t.Fatalf("%s reduce mismatch\n c=%s\n got=%s\n want=%x",
+					name, c.Hex(), z.Hex(), want)
+			}
+		}
+	}
+}
+
+// TestNewFieldRejectsCloseTerm pins the one-pass fold's precondition:
+// NewField accepts a term exactly 64 bits below m, and reduces with it
+// exactly, but panics on one 63 bits below.
+func TestNewFieldRejectsCloseTerm(t *testing.T) {
+	f := NewField("F-607/543", 607, []int{543}, Comb)
+	c := New(2 * f.K)
+	for i := range c {
+		c[i] = ^uint32(0)
+	}
+	z := New(f.K)
+	f.ReduceFull(z, c)
+	if want := bigMod(toBig(c), f.bigModulus()); toBig(z).Cmp(want) != 0 {
+		t.Fatalf("m - term = 64: reduce mismatch\n got=%s\n want=%x", z.Hex(), want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewField with m - term = 63 should panic")
+		}
+	}()
+	NewField("F-607/544", 607, []int{544}, Comb)
+}
+
 // wideField returns GF(2^607) by x^607 + x^105 + 1: 19 words, one past
 // the stack scratch bound, so its field operations run on heap scratch.
 func wideField(alg MulAlg) *Field { return NewField("F-607", 607, []int{105}, alg) }

@@ -13,41 +13,30 @@
 // running the CIOS microprogram cycle by cycle.
 package monte
 
-import "repro/internal/mp"
-
 // PipelineDepth is the FFAU arithmetic-core latency p in Equation 5.2
 // (two pipeline stages plus the output register).
 const PipelineDepth = 3
 
-// Config describes one FFAU instance.
-type Config struct {
-	WidthBits    int  // datapath width w (8/16/32/64); system config uses 32
-	DoubleBuffer bool // overlap DMA with computation (Section 7.7)
+// Words returns the word count of a bits-bit element on a w-bit
+// datapath: the FFAU's k at its configured width, and at w = 32 the words
+// the DMA moves over the 32-bit shared-RAM port whatever the FFAU's width.
+func Words(bits, w int) int { return (bits + w - 1) / w }
+
+// issueOverhead models Pete's coprocessor-2 instruction issue and
+// synchronization per operation (cop2ld/cop2mul/cop2st decode + dispatch).
+const issueOverhead = 8
+
+// BusyCycles returns the wall-clock cycles one Monte operation occupies
+// as seen by Pete: compute FFAU cycles and dma cycles of operand movement
+// plus the issue overhead. With double buffering the data movement
+// overlaps the computation and the longer one wins (Section 5.4.1's
+// reordering example); without it they add.
+func BusyCycles(compute, dma uint64, doubleBuffer bool) uint64 {
+	if doubleBuffer {
+		return max(compute, dma) + issueOverhead
+	}
+	return compute + dma + issueOverhead
 }
-
-// Monte is one accelerator instance bound to a prime field.
-type Monte struct {
-	Cfg Config
-	F   *mp.Field // CIOS-configured field
-
-	k   int // words per element at the configured datapath width
-	k32 int // words per element on the 32-bit shared-RAM port
-}
-
-// New builds a Monte instance for the given prime field. The field is
-// reconstructed in CIOS mode — the only algorithm in the microcode store.
-func New(cfg Config, fieldName string) *Monte {
-	f := mp.NISTField(fieldName, mp.CIOS)
-	k := (f.Bits + cfg.WidthBits - 1) / cfg.WidthBits
-	return &Monte{Cfg: cfg, F: f, k: k, k32: (f.Bits + 31) / 32}
-}
-
-// K returns the element word count at the configured datapath width.
-func (m *Monte) K() int { return m.k }
-
-// K32 returns the element word count on the 32-bit shared-RAM port —
-// the DMA transfer unit, independent of the FFAU's internal width.
-func (m *Monte) K32() int { return m.k32 }
 
 // CIOSCycles is Equation 5.2: the FFAU compute cycles for one Montgomery
 // multiplication at word length k and pipeline depth p.
@@ -65,6 +54,5 @@ func AddSubCycles(k, p int) uint64 {
 // CIOS multiplication at datapath width w bits on a key of `bits` bits —
 // the quantity Table 7.4 reports (at 100 MHz, 10 ns per cycle).
 func GenericMontMulCycles(bits, w int) uint64 {
-	k := (bits + w - 1) / w
-	return CIOSCycles(k, PipelineDepth)
+	return CIOSCycles(Words(bits, w), PipelineDepth)
 }

@@ -30,6 +30,31 @@ func randMod(r *rand.Rand, p mp.Int) mp.Int {
 // DefaultConfig is the system configuration evaluated in Section 7.1.
 func DefaultConfig() Config { return Config{WidthBits: 32, DoubleBuffer: true} }
 
+// Config describes one FFAU instance.
+type Config struct {
+	WidthBits    int  // datapath width w (8/16/32/64); system config uses 32
+	DoubleBuffer bool // overlap DMA with computation (Section 7.7)
+}
+
+// Monte is one accelerator instance bound to a prime field.
+type Monte struct {
+	Cfg Config
+	F   *mp.Field // CIOS-configured field
+
+	k   int // words per element at the configured datapath width
+	k32 int // words per element on the 32-bit shared-RAM port
+}
+
+// New builds a Monte instance for the given prime field. The field is
+// reconstructed in CIOS mode — the only algorithm in the microcode store.
+func New(cfg Config, fieldName string) *Monte {
+	f := mp.NISTField(fieldName, mp.CIOS)
+	return &Monte{Cfg: cfg, F: f, k: Words(f.Bits, cfg.WidthBits), k32: Words(f.Bits, 32)}
+}
+
+// K returns the element word count at the configured datapath width.
+func (m *Monte) K() int { return m.k }
+
 // Stats counts the functional model's activity.
 type Stats struct {
 	MulOps, AddOps, SubOps uint64
@@ -41,10 +66,6 @@ type Stats struct {
 	SharedReads            uint64 // shared-RAM words moved in
 	SharedWrites           uint64 // shared-RAM words moved out
 }
-
-// issueOverhead models Pete's coprocessor-2 instruction issue and
-// synchronization per operation (cop2ld/cop2mul/cop2st decode + dispatch).
-const issueOverhead = 8
 
 // accel is one Monte instance running real CIOS arithmetic (internal/mp)
 // with its latency and activity accounting: the functional model the
@@ -77,14 +98,7 @@ func (m *accel) MontMul(z, a, b mp.Int) uint64 {
 	m.Stats.ScratchWrites += compute
 	m.Stats.SharedReads += uint64(2 * m.k32)
 	m.Stats.SharedWrites += uint64(m.k32)
-	var busy uint64
-	if m.Cfg.DoubleBuffer {
-		// Data movement overlaps computation; the longer one wins
-		// (Section 5.4.1's reordering example).
-		busy = maxU64(compute, dma) + issueOverhead
-	} else {
-		busy = compute + dma + issueOverhead
-	}
+	busy := BusyCycles(compute, dma, m.Cfg.DoubleBuffer)
 	m.Stats.BusyCycles += busy
 	return busy
 }
@@ -112,12 +126,7 @@ func (m *accel) accountLinear() uint64 {
 	m.Stats.ScratchWrites += compute
 	m.Stats.SharedReads += uint64(2 * m.k32)
 	m.Stats.SharedWrites += uint64(m.k32)
-	var busy uint64
-	if m.Cfg.DoubleBuffer {
-		busy = maxU64(compute, dma) + issueOverhead
-	} else {
-		busy = compute + dma + issueOverhead
-	}
+	busy := BusyCycles(compute, dma, m.Cfg.DoubleBuffer)
 	m.Stats.BusyCycles += busy
 	return busy
 }
@@ -139,7 +148,6 @@ func (m *accel) InvFermat(z, a mp.Int) uint64 {
 	copy(z, tmp)
 	// Timing: all operands stay resident in the FFAU scratchpad between
 	// steps, so only the first load and last store cross the DMA.
-	var busy uint64
 	compute := CIOSCycles(m.k, PipelineDepth)
 	bits := e.BitLen()
 	ones := 0
@@ -149,7 +157,7 @@ func (m *accel) InvFermat(z, a mp.Int) uint64 {
 		}
 	}
 	steps := uint64(bits-1) + uint64(ones)
-	busy = steps*(compute+2) + m.dmaCycles(2*m.k32) + issueOverhead
+	busy := BusyCycles(steps*(compute+2), m.dmaCycles(2*m.k32), false)
 	m.Stats.ComputeCycles += steps * compute
 	m.Stats.ScratchReads += 3 * steps * compute
 	m.Stats.ScratchWrites += steps * compute
@@ -158,13 +166,6 @@ func (m *accel) InvFermat(z, a mp.Int) uint64 {
 	m.Stats.BusyCycles += busy
 	m.Stats.MulOps += steps
 	return busy
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func TestCIOSCyclesMatchesTable74(t *testing.T) {

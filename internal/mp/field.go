@@ -157,7 +157,8 @@ func (f *Field) Mul(z, a, b Int) {
 	case CIOS, FIPS:
 		// aR * b * R^-1 = a*b; convert a into the Montgomery domain
 		// first, then one more Montgomery multiply by b.
-		t := make(Int, f.K)
+		var buf [stackWords]uint32
+		t := scratch(buf[:], f.K)
 		f.montMul(t, a, f.RR) // t = aR
 		f.montMul(z, t, b)    // z = ab
 	}
@@ -178,7 +179,8 @@ func (f *Field) Sqr(z, a Int) {
 		f.Counters.Red++
 		f.fastReduce(z, c)
 	default:
-		t := make(Int, f.K)
+		var buf [stackWords]uint32
+		t := scratch(buf[:], f.K)
 		f.montMul(t, a, f.RR)
 		f.montMul(z, t, a)
 	}
@@ -214,8 +216,8 @@ func (f *Field) FastReduce(c Int) Int {
 	return z
 }
 
-// stackWords bounds the field size, in 32-bit words, whose product buffer
-// lives on the stack: P-521 is 17 words.
+// stackWords bounds the field size, in 32-bit words, whose product and
+// Montgomery-domain buffers live on the stack: P-521 is 17 words.
 const stackWords = 17
 
 // scratch returns buf[:n], or a fresh slice when n exceeds buf.

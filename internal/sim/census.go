@@ -49,11 +49,11 @@ import (
 //
 // Profiling runs on the fastest functional field implementation of each
 // family, censusPrimeAlg and censusBinaryAlg. One sign-verify profile,
-// best of fifteen on a 2-vCPU Xeon host with the allocation-free field
-// kernels: B-571 takes 38 ms on Comb against 276 ms on CLMul, B-409 22 ms
-// against 112 ms; P-521 takes 9 ms on OSNIST against 12 ms (PSNIST),
-// 32 ms (CIOS) and 43 ms (FIPS), and OSNIST edges PSNIST on P-256,
-// 3.2 ms against 3.4 ms.
+// best of 45 on a 2-vCPU Xeon host with Comb on 64-bit limbs end to end
+// and allocation-free point formulas: B-571 takes 29 ms on Comb against
+// 274 ms on CLMul, B-409 16 ms against 114 ms; P-521 takes 9 ms on
+// OSNIST against 12 ms (PSNIST), 36 ms (CIOS) and 41 ms (FIPS), and
+// OSNIST edges PSNIST on P-256, 3.0 ms against 3.4 ms.
 //
 // Bit-exactness: the profilers are deterministic (fixed seeds,
 // RFC-6979-style signing), so a memoized census is byte-for-byte the

@@ -76,40 +76,25 @@ func (c *kernelCosts) primeFieldCosts(arch Arch, fieldName string, bits, k int, 
 			Inv: beeaCost(bits, k),
 		}
 	case WithMonte, MonteCache:
-		w := opt.MonteWidth
-		if w == 0 {
-			w = DefaultMonteWidth
-		}
-		mo := monte.New(monte.Config{WidthBits: w, DoubleBuffer: opt.DoubleBuffer}, fieldName)
 		// Compute time is Equation 5.2 at the configured datapath width;
 		// DMA always crosses the 32-bit shared-RAM port regardless of the
 		// FFAU's internal width, so its word count is width-independent.
-		cc := monte.CIOSCycles(mo.K(), monte.PipelineDepth)
-		k32 := mo.K32()
+		kw := monte.Words(bits, opt.MonteWidth)
+		cc := monte.CIOSCycles(kw, monte.PipelineDepth)
+		k32 := monte.Words(bits, 32)
 		dma := uint64(3 * k32)
-		var busy uint64
-		if opt.DoubleBuffer {
-			busy = maxU64(cc, dma) + 8
-		} else {
-			busy = cc + dma + 8
-		}
+		busy := monte.BusyCycles(cc, dma, opt.DoubleBuffer)
 		mulCyc := busy + accelCallOverheadCycles
 		// Pete only issues a handful of instructions per op; shared-RAM
 		// traffic is the DMA's 3k words.
 		mul := PerOp{Cycles: mulCyc, Insts: 12, RAMReads: uint64(2 * k32), RAMWrites: uint64(k32), Accel: busy}
-		addCyc := monte.AddSubCycles(mo.K(), monte.PipelineDepth)
-		var addBusy uint64
-		if opt.DoubleBuffer {
-			addBusy = maxU64(addCyc, dma) + 8
-		} else {
-			addBusy = addCyc + dma + 8
-		}
+		addBusy := monte.BusyCycles(monte.AddSubCycles(kw, monte.PipelineDepth), dma, opt.DoubleBuffer)
 		add := PerOp{Cycles: addBusy + accelCallOverheadCycles, Insts: 10,
 			RAMReads: uint64(2 * k32), RAMWrites: uint64(k32), Accel: addBusy}
 		// Fermat inversion in microcode: ~bits squarings + ~bits/2
 		// multiplies, operands resident (Section 7.1's O(n^3) term).
 		steps := uint64(bits-1) + uint64(bits)/2
-		inv := PerOp{Cycles: steps*(cc+2) + dma + 8, Insts: 20,
+		inv := PerOp{Cycles: monte.BusyCycles(steps*(cc+2), dma, false), Insts: 20,
 			RAMReads: uint64(k32), RAMWrites: uint64(k32),
 			Accel: steps * (cc + 2)}
 		return FieldCosts{Mul: mul, Sqr: mul, Add: add, Sub: add, Inv: inv}
@@ -119,7 +104,7 @@ func (c *kernelCosts) primeFieldCosts(arch Arch, fieldName string, bits, k int, 
 
 // binaryFieldCosts builds the cost table for a binary field under an
 // architecture.
-func (c *kernelCosts) binaryFieldCosts(arch Arch, fieldName string, m, k int, opt Options) FieldCosts {
+func (c *kernelCosts) binaryFieldCosts(arch Arch, m, k int, opt Options) FieldCosts {
 	red := c.redCostBinary(k)
 	addGF2 := c.of(kernels.AddGF2, k).plus(callOv)
 	switch arch {
@@ -144,9 +129,9 @@ func (c *kernelCosts) binaryFieldCosts(arch Arch, fieldName string, m, k int, op
 			Inv: beeaCost(m, k).scale(1.1),
 		}
 	case WithBillie:
-		bl := billie.New(billie.Config{FieldName: fieldName, Digit: opt.BillieDigit})
-		mulCyc := bl.MulCycles() + 2 + billieCallOverheadCycles
-		mul := PerOp{Cycles: mulCyc, Insts: 4, Accel: bl.MulCycles()}
+		busy := billie.DigitSerialCycles(m, opt.BillieDigit)
+		mulCyc := busy + 2 + billieCallOverheadCycles
+		mul := PerOp{Cycles: mulCyc, Insts: 4, Accel: busy}
 		one := PerOp{Cycles: 3 + billieCallOverheadCycles, Insts: 3, Accel: 1}
 		// Itoh–Tsujii on Billie: m-1 single-cycle squarings plus ~11
 		// multiplies; operands live in the register file.
@@ -155,11 +140,4 @@ func (c *kernelCosts) binaryFieldCosts(arch Arch, fieldName string, m, k int, op
 		return FieldCosts{Mul: mul, Sqr: one, Add: one, Sub: one, Inv: inv}
 	}
 	panic("sim: architecture cannot run binary fields: " + arch.String())
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -101,7 +101,7 @@ func pricedKernelCalls() []kernelCall {
 					continue
 				}
 				c := ec.NISTBinaryCurve(curve, censusBinaryAlg)
-				kc.binaryFieldCosts(arch, curve, c.F.M, c.F.K, opt)
+				kc.binaryFieldCosts(arch, c.F.M, c.F.K, opt)
 				kc.orderCosts(arch, c.NBits, opt)
 			}
 		}
@@ -186,7 +186,7 @@ func TestKernelCostMissingRow(t *testing.T) {
 	}
 
 	kc, _ = pinnedKernelCosts()
-	kc.binaryFieldCosts(ISAExt, "B-999", 999, 32, DefaultOptions())
+	kc.binaryFieldCosts(ISAExt, 999, 32, DefaultOptions())
 	if err := kc.err(); err == nil || !strings.Contains(err.Error(), "add_gf2/32") {
 		t.Errorf("pricing a 32-word binary field: err = %v, want one naming add_gf2/32", err)
 	}

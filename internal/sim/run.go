@@ -237,7 +237,7 @@ func runWorkload(arch Arch, curveName string, opt Options, wl workloadDef) (Resu
 	if prime {
 		fieldCosts, accel = kc.primeFieldCosts(arch, curveName, prof.bits, prof.k, opt), arch.HasMonte()
 	} else {
-		fieldCosts, accel = kc.binaryFieldCosts(arch, curveName, prof.bits, prof.k, opt), arch == WithBillie
+		fieldCosts, accel = kc.binaryFieldCosts(arch, prof.bits, prof.k, opt), arch == WithBillie
 	}
 	orderCosts := kc.orderCosts(arch, prof.nbits, opt)
 	if err := kc.err(); err != nil {
