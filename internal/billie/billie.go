@@ -6,45 +6,20 @@
 // register file and the 32-bit shared-RAM port. Pete feeds it coprocessor
 // instructions through a four-entry queue (Table 5.6).
 //
-// The package is Billie's timing model: digit count, issue overhead, and
-// load/store serialization (MulCycles, ScalarMultCycles). Its tests hold
-// a functional model of the register file and its instructions, checked
+// The package is Billie's timing model, computed from the field degree m
+// and the digit size alone: digit count, issue overhead, and load/store
+// serialization (DigitSerialCycles, ScalarMultCycles). Its tests hold a
+// functional model of the register file and its instructions, checked
 // bit-exact against internal/gf2.
 package billie
-
-import "repro/internal/gf2"
 
 // DefaultDigit is the energy-optimal multiplier digit size (3 bits,
 // Section 7.6 citing Kumar et al.).
 const DefaultDigit = 3
 
-// Config describes one Billie instance.
-type Config struct {
-	FieldName string // NIST binary field, fixed at synthesis
-	Digit     int    // digit-serial multiplier width D
-}
-
-// Billie is one accelerator instance.
-type Billie struct {
-	Cfg Config
-	F   *gf2.Field
-}
-
 // issueCycles models Pete fetching and feeding one coprocessor instruction
 // through the queue (Section 5.5.1's control-bottleneck mitigation).
 const issueCycles = 2
-
-// New builds a Billie instance for a NIST binary field.
-func New(cfg Config) *Billie {
-	if cfg.Digit <= 0 {
-		cfg.Digit = DefaultDigit
-	}
-	return &Billie{Cfg: cfg, F: gf2.NISTField(cfg.FieldName, gf2.CLMul)}
-}
-
-// MulCycles is the digit-serial multiplication latency of the instance's
-// field and digit (DigitSerialCycles).
-func (b *Billie) MulCycles() uint64 { return DigitSerialCycles(b.F.M, b.Cfg.Digit) }
 
 // DigitSerialCycles is the latency of one digit-serial multiplication in
 // GF(2^m) with digit size d: ceil(m/d) iterations plus the final
@@ -55,27 +30,29 @@ func DigitSerialCycles(m, d int) uint64 { return uint64((m+d-1)/d) + 3 }
 // Billie with the sliding-window algorithm (the Figure 7.14 primitive):
 // per-bit one LD doubling (4M+5S) and per window-hit one mixed addition
 // (8M+5S), plus the initial loads and final inversion (Itoh–Tsujii:
-// m-1 squarings + ~log2(m)+wt(m-1) multiplies) and store-back.
-func (b *Billie) ScalarMultCycles(algorithm string) uint64 {
-	m := uint64(b.F.M)
-	mul := b.MulCycles() + issueCycles
+// m-1 squarings + ~log2(m)+wt(m-1) multiplies) and store-back, for
+// GF(2^m) with digit size d. A load or store moves the element's
+// ceil(m/32) words across the 32-bit shared-RAM port.
+func ScalarMultCycles(m, d int, algorithm string) uint64 {
+	bits := uint64(m)
+	mul := DigitSerialCycles(m, d) + issueCycles
 	sqr := uint64(1 + issueCycles)
 	add := uint64(1 + issueCycles)
-	ldst := uint64(b.F.K) + issueCycles
+	ldst := uint64((m+31)/32) + issueCycles
 	var cycles uint64
 	switch algorithm {
 	case "sliding-window":
 		dbl := 4*mul + 5*sqr
 		madd := 8*mul + 5*sqr + 2*add
-		adds := m / 5 // window-4 signed density ≈ 1/5
-		cycles = m*dbl + adds*madd
+		adds := bits / 5 // window-4 signed density ≈ 1/5
+		cycles = bits*dbl + adds*madd
 		// Precompute 3P,5P,7P: three additions' worth.
 		cycles += 3 * (8*mul + 5*sqr)
 	case "montgomery":
 		// Ladder step: 6M + 5S per bit (Section 4.1 found it
 		// slower on Billie than the window method).
 		step := 6*mul + 5*sqr + 2*add
-		cycles = m * step
+		cycles = bits * step
 		// y-recovery: ~10 multiplies and an inversion share.
 		cycles += 10 * mul
 	default:
@@ -83,7 +60,7 @@ func (b *Billie) ScalarMultCycles(algorithm string) uint64 {
 	}
 	// Final affine conversion: one Itoh–Tsujii inversion plus 2 muls.
 	itMuls := uint64(10) // ≈ log2(m) + wt(m-1)
-	cycles += (m-1)*sqr + itMuls*mul + 2*mul
+	cycles += (bits-1)*sqr + itMuls*mul + 2*mul
 	// Operand staging: ~8 loads + 2 stores.
 	cycles += 10 * ldst
 	return cycles

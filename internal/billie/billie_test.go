@@ -8,6 +8,31 @@ import (
 	"repro/internal/gf2"
 )
 
+// Config describes one Billie instance of the functional model.
+type Config struct {
+	FieldName string // NIST binary field, fixed at synthesis
+	Digit     int    // digit-serial multiplier width D
+}
+
+// Billie is one accelerator instance of the functional model: its field
+// and digit size.
+type Billie struct {
+	Cfg Config
+	F   *gf2.Field
+}
+
+// New builds a Billie instance for a NIST binary field.
+func New(cfg Config) *Billie {
+	if cfg.Digit <= 0 {
+		cfg.Digit = DefaultDigit
+	}
+	return &Billie{Cfg: cfg, F: gf2.NISTField(cfg.FieldName, gf2.CLMul)}
+}
+
+// MulCycles is the digit-serial multiplication latency of the instance's
+// field and digit (DigitSerialCycles).
+func (b *Billie) MulCycles() uint64 { return DigitSerialCycles(b.F.M, b.Cfg.Digit) }
+
 func randElem(r *rand.Rand, f *gf2.Field) gf2.Elem {
 	z := gf2.New(f.K)
 	for i := range z {
@@ -22,7 +47,7 @@ func randElem(r *rand.Rand, f *gf2.Field) gf2.Elem {
 // regFile is Billie's 16-entry, full-field-width register file with the
 // coprocessor instructions that run on it: a functional and activity
 // model the tests check against gf2. The simulator prices Billie from
-// MulCycles and ScalarMultCycles and never runs it.
+// DigitSerialCycles and ScalarMultCycles and never runs it.
 type regFile struct {
 	*Billie
 	Stats Stats
@@ -196,14 +221,25 @@ func TestAllFieldsFunctional(t *testing.T) {
 	}
 }
 
+// TestScalarMultWords checks the word count ScalarMultCycles stages per
+// load or store, ceil(m/32), against every NIST binary field's element
+// size.
+func TestScalarMultWords(t *testing.T) {
+	for _, name := range gf2.BinaryFieldNames {
+		f := New(Config{FieldName: name}).F
+		if got := (f.M + 31) / 32; got != f.K {
+			t.Errorf("%s: ceil(m/32) = %d words, field elements hold %d", name, got, f.K)
+		}
+	}
+}
+
 func TestScalarMultCyclesShape(t *testing.T) {
 	// Figure 7.14's shape: cycles fall as the digit grows, and the
 	// sliding window beats the Montgomery ladder at every digit size.
 	var prevSW uint64
 	for d := 1; d <= 8; d++ {
-		b := New(Config{FieldName: "B-163", Digit: d})
-		sw := b.ScalarMultCycles("sliding-window")
-		ml := b.ScalarMultCycles("montgomery")
+		sw := ScalarMultCycles(163, d, "sliding-window")
+		ml := ScalarMultCycles(163, d, "montgomery")
 		if sw >= ml {
 			t.Errorf("D=%d: sliding window (%d) should beat Montgomery (%d)", d, sw, ml)
 		}
@@ -218,8 +254,7 @@ func TestScalarMultBeatsPriorWork(t *testing.T) {
 	// Guo et al.'s energy-optimal point is ~313K cycles for a 163-bit
 	// scalar multiplication; Billie's sliding window at D=3 must beat
 	// it (Section 7.6).
-	b := New(Config{FieldName: "B-163", Digit: 3})
-	if c := b.ScalarMultCycles("sliding-window"); c >= 313000 {
+	if c := ScalarMultCycles(163, 3, "sliding-window"); c >= 313000 {
 		t.Errorf("sliding window %d cycles does not beat prior work", c)
 	}
 }
@@ -249,11 +284,10 @@ func TestStatsAndGuards(t *testing.T) {
 }
 
 func TestUnknownAlgorithmPanics(t *testing.T) {
-	b := New(Config{FieldName: "B-163"})
 	defer func() {
 		if recover() == nil {
 			t.Error("unknown algorithm should panic")
 		}
 	}()
-	b.ScalarMultCycles("double-and-always-add")
+	ScalarMultCycles(163, DefaultDigit, "double-and-always-add")
 }

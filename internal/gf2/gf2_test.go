@@ -78,6 +78,45 @@ func TestClMulWord(t *testing.T) {
 	}
 }
 
+// clMulWordBitSerial is the bit-serial 32x32 -> 64 carry-less product:
+// the oracle for ClMulWord's window method.
+func clMulWordBitSerial(a, b uint32) (hi, lo uint32) {
+	var p uint64
+	bb := uint64(b)
+	for i := 0; i < 32; i++ {
+		if a&(1<<uint(i)) != 0 {
+			p ^= bb << uint(i)
+		}
+	}
+	return uint32(p >> 32), uint32(p)
+}
+
+// TestClMulWordMatchesBitSerial checks the window method against the
+// bit-serial product on edge words (0, 1, all ones, every single set
+// bit) paired with each other, and on random pairs.
+func TestClMulWordMatchesBitSerial(t *testing.T) {
+	edges := []uint32{0, 1, 0xffffffff}
+	for i := 0; i < 32; i++ {
+		edges = append(edges, 1<<i)
+	}
+	check := func(a, b uint32) {
+		hi, lo := ClMulWord(a, b)
+		wantHi, wantLo := clMulWordBitSerial(a, b)
+		if hi != wantHi || lo != wantLo {
+			t.Fatalf("ClMulWord(%#x, %#x) = %#x:%#x, want %#x:%#x", a, b, hi, lo, wantHi, wantLo)
+		}
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			check(a, b)
+		}
+	}
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 1<<16; i++ {
+		check(r.Uint32(), r.Uint32())
+	}
+}
+
 // edgeOperands returns k-word operands that stress limb packing and the
 // comb's window and shift carries: all-ones, top-bit-only and random.
 func edgeOperands(r *rand.Rand, k int) []Elem {

@@ -61,3 +61,26 @@ func TestFieldAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestMontgomeryFieldAllocs pins the Montgomery host path
+// allocation-free: a CIOS or FIPS multiplication or squaring on every
+// NIST field, P-521 included, runs its Montgomery multiplications on
+// stack scratch.
+func TestMontgomeryFieldAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets do not hold under the race detector")
+	}
+	for _, name := range PrimeFieldNames {
+		for _, alg := range []MulAlg{CIOS, FIPS} {
+			f := NISTField(name, alg)
+			r := rand.New(rand.NewSource(1))
+			x, y, z := randMod(r, f.P), randMod(r, f.P), New(f.K)
+			if n := testing.AllocsPerRun(20, func() { f.Mul(z, x, y) }); n != 0 {
+				t.Errorf("%s/%v Mul = %.1f allocs/op, want 0", name, alg, n)
+			}
+			if n := testing.AllocsPerRun(20, func() { f.Sqr(z, x) }); n != 0 {
+				t.Errorf("%s/%v Sqr = %.1f allocs/op, want 0", name, alg, n)
+			}
+		}
+	}
+}

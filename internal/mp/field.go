@@ -216,14 +216,15 @@ func (f *Field) FastReduce(c Int) Int {
 	return z
 }
 
-// stackWords bounds the field size, in 32-bit words, whose product and
-// Montgomery-domain buffers live on the stack: P-521 is 17 words.
+// stackWords bounds the field size, in 32-bit words, whose product,
+// Montgomery-domain and Montgomery-multiplication buffers live on the
+// stack: P-521 is 17 words.
 const stackWords = 17
 
 // scratch returns buf[:n], or a fresh slice when n exceeds buf.
-func scratch(buf []uint32, n int) Int {
+func scratch[T uint32 | uint64](buf []T, n int) []T {
 	if n > len(buf) {
-		return make(Int, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }

@@ -25,7 +25,8 @@ func N0Inv32(n0 uint32) uint32 {
 // z may alias a or b.
 func MontMulCIOS(z, a, b, n Int, n0inv uint32) {
 	k := len(n)
-	t := make([]uint64, k+2) // t[k+1] holds the top carry word
+	var tbuf [stackWords + 2]uint64
+	t := scratch(tbuf[:], k+2) // t[k+1] holds the top carry word
 	for i := 0; i < k; i++ {
 		// Multiplication pass: t += a * b[i]
 		var c uint64
@@ -53,7 +54,8 @@ func MontMulCIOS(z, a, b, n Int, n0inv uint32) {
 		t[k+1] = 0
 	}
 	// Final conditional subtraction.
-	res := make(Int, k)
+	var rbuf [stackWords]uint32
+	res := scratch(rbuf[:], k)
 	for i := 0; i < k; i++ {
 		res[i] = uint32(t[i])
 	}
@@ -68,7 +70,8 @@ func MontMulCIOS(z, a, b, n Int, n0inv uint32) {
 // using the same (t,u,v) accumulator the ADDAU/SHA extensions provide.
 func MontMulFIPS(z, a, b, n Int, n0inv uint32) {
 	k := len(n)
-	m := make(Int, k)
+	var mbuf [stackWords]uint32
+	m := scratch(mbuf[:], k)
 	var t, u, v uint32
 	maddu := func(x, y uint32) {
 		p := uint64(x) * uint64(y)
@@ -91,7 +94,8 @@ func MontMulFIPS(z, a, b, n Int, n0inv uint32) {
 		}
 		v, u, t = u, t, 0
 	}
-	res := make(Int, k+1)
+	var rbuf [stackWords + 1]uint32
+	res := scratch(rbuf[:], k+1)
 	for i := k; i <= 2*k-1; i++ {
 		for j := i - k + 1; j < k; j++ {
 			maddu(a[j], b[i-j])
@@ -111,7 +115,8 @@ func MontMulFIPS(z, a, b, n Int, n0inv uint32) {
 // reduction), used to convert out of the Montgomery domain.
 func MontREDC(z Int, c Int, n Int, n0inv uint32) {
 	k := len(n)
-	t := make([]uint64, 2*k+1)
+	var tbuf [2*stackWords + 1]uint64
+	t := scratch(tbuf[:], 2*k+1)
 	for i, w := range c {
 		t[i] = uint64(w)
 	}
@@ -129,7 +134,8 @@ func MontREDC(z Int, c Int, n Int, n0inv uint32) {
 			carry = s >> 32
 		}
 	}
-	res := make(Int, k+1)
+	var rbuf [stackWords + 1]uint32
+	res := scratch(rbuf[:], k+1)
 	for i := 0; i <= k; i++ {
 		res[i] = uint32(t[k+i])
 	}

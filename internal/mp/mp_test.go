@@ -206,6 +206,41 @@ func TestMontgomeryVariants(t *testing.T) {
 	}
 }
 
+// TestMontgomeryScratchSizes checks CIOS, FIPS and REDC against math/big
+// on random odd moduli at the stack scratch bound and one word above it,
+// where the buffers come from the heap.
+func TestMontgomeryScratchSizes(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	for _, k := range []int{1, stackWords, stackWords + 1} {
+		n := randInt(r, k)
+		n[0] |= 1
+		n[k-1] |= 1 << 31
+		nb := toBig(n)
+		n0inv := N0Inv32(n[0])
+		Rinv := new(big.Int).ModInverse(new(big.Int).Lsh(big.NewInt(1), uint(32*k)), nb)
+		for i := 0; i < 20; i++ {
+			a, b := randMod(r, n), randMod(r, n)
+			want := new(big.Int).Mul(toBig(a), toBig(b))
+			want.Mul(want, Rinv).Mod(want, nb)
+			z := New(k)
+			MontMulCIOS(z, a, b, n, n0inv)
+			if toBig(z).Cmp(want) != 0 {
+				t.Fatalf("k=%d CIOS mismatch", k)
+			}
+			MontMulFIPS(z, a, b, n, n0inv)
+			if toBig(z).Cmp(want) != 0 {
+				t.Fatalf("k=%d FIPS mismatch", k)
+			}
+			c := New(2 * k)
+			MulOS(c, a, b)
+			MontREDC(z, c, n, n0inv)
+			if toBig(z).Cmp(want) != 0 {
+				t.Fatalf("k=%d REDC mismatch", k)
+			}
+		}
+	}
+}
+
 func TestGenericCIOSWidths(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for _, name := range []string{"P-192", "P-256", "P-384"} {

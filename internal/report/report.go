@@ -308,18 +308,17 @@ func Fig7_14() (string, error) {
 	var b strings.Builder
 	b.WriteString(header("Figure 7.14: 163-bit scalar point multiply vs digit size (cycles)"))
 	fmt.Fprintf(&b, "%-6s %16s %16s\n", "digit", "sliding-window", "montgomery")
+	const m = 163 // B-163's field degree
 	for d := 1; d <= 8; d++ {
-		bl := billie.New(billie.Config{FieldName: "B-163", Digit: d})
 		fmt.Fprintf(&b, "%-6d %16d %16d\n", d,
-			bl.ScalarMultCycles("sliding-window"),
-			bl.ScalarMultCycles("montgomery"))
+			billie.ScalarMultCycles(m, d, "sliding-window"),
+			billie.ScalarMultCycles(m, d, "montgomery"))
 	}
 	// Prior-work reference points (Guo et al., DATE 2009): energy-
 	// optimal configurations read from Figure 7.14.
 	b.WriteString("prior work (Guo et al.): ~313000 cycles at D=4 (Montgomery, 8-bit uC control)\n")
-	bl := billie.New(billie.Config{FieldName: "B-163", Digit: 3})
 	fmt.Fprintf(&b, "our sliding-window at the energy-optimal D=3: %d cycles (paper: outperforms prior work)\n",
-		bl.ScalarMultCycles("sliding-window"))
+		billie.ScalarMultCycles(m, billie.DefaultDigit, "sliding-window"))
 	return b.String(), nil
 }
 

@@ -6,8 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-
-	"repro/internal/kernels"
 )
 
 // PerOp is the simulated cost of one field operation.
@@ -53,11 +51,15 @@ type FieldCosts struct {
 // every process serves the pinned rows; pricing runs no Pete simulation.
 //
 // testdata/kernels.golden is the one copy of the table, embedded here
-// and parsed on first use. TestKernelGolden is its drift check: it
-// re-runs the pipeline simulator for every row the model prices and
-// fails on any difference, so a kernel, assembler or core-model change
-// must regenerate the file with -update (and show its diff) to land.
-// A row the table lacks is an error naming it, never a silent zero.
+// and parsed on first use. Rows are keyed by kernel name (fieldcosts.go
+// names the rows the model prices), so pricing needs no kernel program;
+// the map from names to internal/kernels programs lives on the test
+// side, in kernels_golden_test.go. TestKernelGolden is the drift check:
+// it re-runs the pipeline simulator for every row the model prices and
+// fails on a priced name with no program or on any difference, so a
+// kernel, assembler or core-model change must regenerate the file with
+// -update (and show its diff) to land. A row the table lacks is an
+// error naming it, never a silent zero.
 //
 //go:embed testdata/kernels.golden
 var kernelsGolden string
@@ -128,9 +130,9 @@ type kernelCosts struct {
 	missing []kernelCall
 }
 
-// kernelCall is a kernel priced at a word count.
+// kernelCall is a kernel, by row name, priced at a word count.
 type kernelCall struct {
-	kernel *kernels.Kernel
+	kernel string
 	words  int
 }
 
@@ -140,11 +142,11 @@ func pinnedKernelCosts() (kernelCosts, error) {
 	return kernelCosts{index: t.index}, err
 }
 
-// of returns one call of kernel k at the given word count.
-func (c *kernelCosts) of(k *kernels.Kernel, words int) PerOp {
-	cost, ok := c.index[kernelKey{k.Name, words}]
+// of returns one call of the named kernel at the given word count.
+func (c *kernelCosts) of(kernel string, words int) PerOp {
+	cost, ok := c.index[kernelKey{kernel, words}]
 	if !ok {
-		c.missing = append(c.missing, kernelCall{k, words})
+		c.missing = append(c.missing, kernelCall{kernel, words})
 	}
 	return cost
 }
@@ -156,5 +158,5 @@ func (c *kernelCosts) err() error {
 	}
 	m := c.missing[0]
 	return fmt.Errorf("sim: kernel cost table has no row %s/%d (regenerate testdata/kernels.golden with go test ./internal/sim/ -run TestKernelGolden -update)",
-		m.kernel.Name, m.words)
+		m.kernel, m.words)
 }

@@ -2,15 +2,31 @@ package sim
 
 import (
 	"repro/internal/billie"
-	"repro/internal/kernels"
 	"repro/internal/monte"
+)
+
+// The kernel cost table rows the model prices, by the name of the Pete
+// kernel each row measures (internal/kernels; the test side maps every
+// name to its program).
+const (
+	kernelAddMP          = "add_mp"
+	kernelAddGF2         = "add_gf2"
+	kernelMulOS          = "mul_os_baseline"
+	kernelMulPSExt       = "mul_ps_ext"
+	kernelSqrPSExt       = "sqr_ps_ext"
+	kernelMulComb        = "mul_comb_sw"
+	kernelMulGF2Ext      = "mul_gf2_ext"
+	kernelSqrGF2TableHot = "sqr_gf2_table_hot"
+	kernelSqrGF2Cl       = "sqr_gf2_cl"
+	kernelRedP192        = "red_p192"
+	kernelRedB163        = "red_b163"
 )
 
 // redCost prices the NIST fast reduction for a field with k words: the
 // hand-written P-192 and B-163 kernels are measured, other fields scale by
 // word count and fold-complexity factor (calibrate.go).
 func (c *kernelCosts) redCost(fieldName string, k int) PerOp {
-	base := c.of(kernels.RedP192, 6)
+	base := c.of(kernelRedP192, 6)
 	f := float64(k) / 6.0 * redScale(fieldName)
 	return base.scale(f)
 }
@@ -18,7 +34,7 @@ func (c *kernelCosts) redCost(fieldName string, k int) PerOp {
 // redCostBinary prices binary-field reduction from the measured B-163
 // kernel (Algorithm 7), scaled by word count.
 func (c *kernelCosts) redCostBinary(k int) PerOp {
-	base := c.of(kernels.RedB163, 6)
+	base := c.of(kernelRedB163, 6)
 	return base.scale(float64(k) / 6.0)
 }
 
@@ -33,7 +49,7 @@ var callOv = PerOp{
 // addModCost prices a modular add/sub: the multi-precision add kernel plus
 // an average half conditional correction pass.
 func (c *kernelCosts) addModCost(k int) PerOp {
-	a := c.of(kernels.AddMP, k)
+	a := c.of(kernelAddMP, k)
 	return a.plus(a.scale(0.5)).plus(callOv)
 }
 
@@ -55,7 +71,7 @@ func (c *kernelCosts) primeFieldCosts(arch Arch, fieldName string, bits, k int, 
 	red := c.redCost(fieldName, k)
 	switch arch {
 	case Baseline, BaselineCache:
-		m := c.of(kernels.MulOS, k).scale(mulOSFactor)
+		m := c.of(kernelMulOS, k).scale(mulOSFactor)
 		mul := m.plus(red).plus(callOv)
 		return FieldCosts{
 			Mul: mul,
@@ -65,9 +81,9 @@ func (c *kernelCosts) primeFieldCosts(arch Arch, fieldName string, bits, k int, 
 			Inv: beeaCost(bits, k),
 		}
 	case ISAExt, ISAExtCache:
-		m := c.of(kernels.MulPSExt, k).scale(mulPSFactor)
+		m := c.of(kernelMulPSExt, k).scale(mulPSFactor)
 		mul := m.plus(red).plus(callOv)
-		sqr := c.of(kernels.SqrPSExt, k).scale(mulPSFactor).plus(red).plus(callOv)
+		sqr := c.of(kernelSqrPSExt, k).scale(mulPSFactor).plus(red).plus(callOv)
 		return FieldCosts{
 			Mul: mul,
 			Sqr: sqr,
@@ -106,27 +122,27 @@ func (c *kernelCosts) primeFieldCosts(arch Arch, fieldName string, bits, k int, 
 // architecture.
 func (c *kernelCosts) binaryFieldCosts(arch Arch, m, k int, opt Options) FieldCosts {
 	red := c.redCostBinary(k)
-	addGF2 := c.of(kernels.AddGF2, k).plus(callOv)
+	addGF2 := c.of(kernelAddGF2, k).plus(callOv)
 	switch arch {
 	case Baseline, BaselineCache:
-		mul := c.of(kernels.MulComb, k).plus(red).plus(callOv)
-		sqr := c.of(kernels.SqrGF2TableHot, k)
+		mul := c.of(kernelMulComb, k).plus(red).plus(callOv)
+		sqr := c.of(kernelSqrGF2TableHot, k)
 		return FieldCosts{
 			Mul: mul,
 			Sqr: sqr.plus(red).plus(callOv),
 			Add: addGF2,
 			Sub: addGF2,
-			Inv: beeaCost(m, k).scale(1.1), // polynomial EEA degree bookkeeping
+			Inv: beeaCost(m, k).scale(binaryBEEAFactor),
 		}
 	case ISAExt, ISAExtCache:
-		mul := c.of(kernels.MulGF2Ext, k).scale(mulGF2Factor).plus(red).plus(callOv)
-		sqr := c.of(kernels.SqrGF2Cl, k)
+		mul := c.of(kernelMulGF2Ext, k).scale(mulGF2Factor).plus(red).plus(callOv)
+		sqr := c.of(kernelSqrGF2Cl, k)
 		return FieldCosts{
 			Mul: mul,
 			Sqr: sqr.plus(red).plus(callOv),
 			Add: addGF2,
 			Sub: addGF2,
-			Inv: beeaCost(m, k).scale(1.1),
+			Inv: beeaCost(m, k).scale(binaryBEEAFactor),
 		}
 	case WithBillie:
 		busy := billie.DigitSerialCycles(m, opt.BillieDigit)

@@ -23,6 +23,22 @@ const (
 	mpAddr   = mem.RAMBase + 0xc00
 )
 
+// kernelPrograms maps every kernel cost table row the model prices
+// (fieldcosts.go) to the Pete program whose measurement the row pins.
+var kernelPrograms = map[string]*kernels.Kernel{
+	kernelAddMP:          kernels.AddMP,
+	kernelAddGF2:         kernels.AddGF2,
+	kernelMulOS:          kernels.MulOS,
+	kernelMulPSExt:       kernels.MulPSExt,
+	kernelSqrPSExt:       kernels.SqrPSExt,
+	kernelMulComb:        kernels.MulComb,
+	kernelMulGF2Ext:      kernels.MulGF2Ext,
+	kernelSqrGF2TableHot: kernels.SqrGF2TableHot,
+	kernelSqrGF2Cl:       kernels.SqrGF2Cl,
+	kernelRedP192:        kernels.RedP192,
+	kernelRedB163:        kernels.RedB163,
+}
+
 // measureKernel runs a kernel once on the pipeline simulator with
 // representative worst-case-ish operands and returns its cost: the
 // measurement a kernels.golden row pins.
@@ -107,7 +123,7 @@ func pricedKernelCalls() []kernelCall {
 		}
 	}
 	calls := slices.SortedFunc(slices.Values(kc.missing), func(a, b kernelCall) int {
-		return cmp.Or(cmp.Compare(a.kernel.Name, b.kernel.Name), cmp.Compare(a.words, b.words))
+		return cmp.Or(cmp.Compare(a.kernel, b.kernel), cmp.Compare(a.words, b.words))
 	})
 	return slices.Compact(calls)
 }
@@ -129,14 +145,21 @@ func TestKernelGolden(t *testing.T) {
 	b.WriteString(kernelsGoldenHeader)
 	want := kernelTable{index: make(map[kernelKey]PerOp)}
 	for _, c := range calls {
-		cost, err := measureKernel(c.kernel, c.words)
+		k, ok := kernelPrograms[c.kernel]
+		if !ok {
+			t.Fatalf("the model prices kernel %q, which kernelPrograms maps to no program", c.kernel)
+		}
+		if k.Name != c.kernel {
+			t.Fatalf("kernelPrograms maps %q to the program %q", c.kernel, k.Name)
+		}
+		cost, err := measureKernel(k, c.words)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fmt.Fprintf(&b, "%s/%d cycles=%d insts=%d reads=%d writes=%d\n",
-			c.kernel.Name, c.words, cost.Cycles, cost.Insts, cost.RAMReads, cost.RAMWrites)
-		want.rows = append(want.rows, KernelCost{c.kernel.Name, c.words, cost})
-		want.index[kernelKey{c.kernel.Name, c.words}] = cost
+			c.kernel, c.words, cost.Cycles, cost.Insts, cost.RAMReads, cost.RAMWrites)
+		want.rows = append(want.rows, KernelCost{c.kernel, c.words, cost})
+		want.index[kernelKey{c.kernel, c.words}] = cost
 	}
 	got := b.String()
 	path := filepath.Join("testdata", "kernels.golden")
@@ -179,7 +202,7 @@ func TestKernelCostMissingRow(t *testing.T) {
 	if err := kc.err(); err != nil {
 		t.Fatalf("fresh pricing reports %v", err)
 	}
-	kc.primeFieldCosts(Baseline, "P-999", 999, 32, DefaultOptions())
+	kc.primeFieldCosts(Baseline, orderField, 999, 32, DefaultOptions())
 	err = kc.err()
 	if err == nil || !strings.Contains(err.Error(), "mul_os_baseline/32") {
 		t.Errorf("pricing a 32-word prime field: err = %v, want one naming mul_os_baseline/32", err)
@@ -190,6 +213,18 @@ func TestKernelCostMissingRow(t *testing.T) {
 	if err := kc.err(); err == nil || !strings.Contains(err.Error(), "add_gf2/32") {
 		t.Errorf("pricing a 32-word binary field: err = %v, want one naming add_gf2/32", err)
 	}
+}
+
+// TestRedScaleNamesUnknownField checks that pricing a prime field with
+// no reduction scale panics naming the field instead of borrowing
+// another field's factor.
+func TestRedScaleNamesUnknownField(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "P-999") {
+			t.Errorf("redScale(P-999) recovered %v, want a panic naming P-999", r)
+		}
+	}()
+	redScale("P-999")
 }
 
 // TestParseKernelTableRejects pins the table parser's errors: a

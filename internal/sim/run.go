@@ -262,7 +262,7 @@ func (c *kernelCosts) orderCosts(arch Arch, nbits int, opt Options) FieldCosts {
 	}
 	// The order field has no NIST reduction; use the generic prime
 	// software path, scaled.
-	fc := c.primeFieldCosts(swArch, "order", nbits, ow, opt)
+	fc := c.primeFieldCosts(swArch, orderField, nbits, ow, opt)
 	return FieldCosts{
 		Mul: fc.Mul.scale(orderCostFactor),
 		Sqr: fc.Sqr.scale(orderCostFactor),
@@ -394,7 +394,7 @@ func assemble(arch Arch, curveName string, opt Options, wl workloadDef, phases [
 			if opt.GateAccelIdle {
 				// Clock gating kills the idle clock fringe; power
 				// gating cuts leakage to a retention trickle.
-				idle, static = 0, static*0.1
+				idle, static = 0, static*gatedRetention
 			}
 			bd.Accel = energy.MonteDynamicWidth(opt.MonteWidth, fieldBits)*Tbusy +
 				idle*(T-Tbusy) + static*T
@@ -403,7 +403,7 @@ func assemble(arch Arch, curveName string, opt Options, wl workloadDef, phases [
 			idleW := energy.BillieIdleD(fieldBits, opt.BillieDigit)
 			staticW := energy.BillieStaticD(fieldBits, opt.BillieDigit)
 			if opt.GateAccelIdle {
-				idleW, staticW = 0, staticW*0.1
+				idleW, staticW = 0, staticW*gatedRetention
 			}
 			bd.Accel = energy.BillieDynamicD(fieldBits, opt.BillieDigit)*Tbusy +
 				idleW*(T-Tbusy) + staticW*T
@@ -432,7 +432,7 @@ func assemble(arch Arch, curveName string, opt Options, wl workloadDef, phases [
 	// energy accounting above charges.
 	accelStaticScale := 1.0
 	if opt.GateAccelIdle {
-		accelStaticScale = 0.1
+		accelStaticScale = gatedRetention
 	}
 	if arch.HasMonte() {
 		static += energy.MonteStaticWidth(opt.MonteWidth, fieldBits) * accelStaticScale
