@@ -49,7 +49,6 @@ import (
 	"strings"
 	"time"
 
-	"repro"
 	"repro/internal/dse"
 	"repro/internal/report"
 	"repro/internal/sim"
@@ -152,7 +151,7 @@ func main() {
 			printStats(os.Stdout, reg, 0, nil)
 		}
 	case *exp != "":
-		out, err := repro.Experiment(*exp)
+		out, err := report.Experiment(*exp)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -4,11 +4,14 @@
 // and an optional single-entry stream-buffer prefetcher modeled after
 // Jouppi (Section 5.3.3). Figure 7.11's ideal never-miss cache has no
 // model here: sim prices it analytically.
+// Fill costs come from internal/energy's ROM port formulas, which sim's
+// analytic miss pricing calls too, so sim does not import this package.
 package cache
 
 import (
 	"fmt"
 
+	"repro/internal/energy"
 	"repro/internal/mem"
 )
 
@@ -16,30 +19,11 @@ import (
 // the 128-bit ROM port that fills a whole line in one beat (Section
 // 5.3.2). NewWithLine builds caches with other power-of-two line sizes;
 // the port width stays fixed, so longer lines fill in several beats.
-const LineBytes = 16
+const LineBytes = energy.ROMPortBytes
 
 // MissPenalty is the stall seen by the core on a miss; the 128-bit ROM
 // port keeps it at three cycles for a single-beat line (Section 7.5).
-const MissPenalty = 3
-
-// BeatsPerFill is how many 128-bit ROM port reads one fill of a
-// lineBytes-sized line takes; lines narrower than the port still cost
-// one full beat. Both the hardware model here and sim's analytic miss
-// model derive their fill costs from this one formula.
-func BeatsPerFill(lineBytes int) int {
-	beats := lineBytes / LineBytes
-	if beats < 1 {
-		beats = 1
-	}
-	return beats
-}
-
-// MissPenaltyFor is the core stall per miss at a line size: the 3-cycle
-// fill for a single-beat line, plus one cycle per extra pipelined ROM
-// beat on longer lines.
-func MissPenaltyFor(lineBytes int) int {
-	return MissPenalty + (BeatsPerFill(lineBytes) - 1)
-}
+const MissPenalty = energy.ROMFillStall
 
 // Stats counts cache events for the energy model.
 type Stats struct {
@@ -101,7 +85,7 @@ func NewWithLine(sizeBytes, lineBytes int, prefetch bool, m *mem.System) *ICache
 
 // readLine charges one line fill's worth of ROM traffic.
 func (c *ICache) readLine() {
-	for i := 0; i < BeatsPerFill(c.Line); i++ {
+	for i := 0; i < energy.BeatsPerFill(c.Line); i++ {
 		c.Mem.CountLineFill()
 	}
 }
@@ -133,7 +117,7 @@ func (c *ICache) Fetch(addr uint32) int {
 	if c.Prefetch {
 		c.prefetchNext(line)
 	}
-	return MissPenaltyFor(c.Line)
+	return energy.MissPenaltyFor(c.Line)
 }
 
 func (c *ICache) fill(idx, line uint32) {

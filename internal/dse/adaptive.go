@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -218,7 +217,7 @@ func (st *adaptiveState) add(c Config) {
 // seedCoarse queues round 0: for each valid (arch, curve) pair, the
 // cross-product of each arch-relevant option axis's coarse value set —
 // the endpoints of ordered axes, the full domain of enumerated ones —
-// mirroring Expand's relevance-factored odometer.
+// walked by Expand's relevance-factored odometer.
 func (st *adaptiveState) seedCoarse() {
 	coarse := make([][]axisValue, len(axes))
 	for i, ax := range axes {
@@ -228,48 +227,7 @@ func (st *adaptiveState) seedCoarse() {
 		}
 		coarse[i] = vs
 	}
-	live := make([]int, 0, len(optIdx))
-	idx := make([]int, len(axes))
-	var scratch Config
-	lastArch := sim.Arch(-1)
-	forEachDimension(st.vals, func(dim *Config) {
-		if dim.Arch != lastArch {
-			lastArch = dim.Arch
-			live = live[:0]
-			for _, i := range optIdx {
-				ax := axes[i]
-				if ax.archRelevant == nil || ax.archRelevant(dim.Arch) {
-					live = append(live, i)
-				}
-			}
-		}
-		if !dim.Valid() {
-			return
-		}
-		for _, i := range optIdx {
-			idx[i] = 0
-		}
-		for {
-			scratch = *dim
-			for _, i := range live {
-				axes[i].set(&scratch, coarse[i][idx[i]])
-			}
-			st.add(scratch)
-			k := len(live) - 1
-			for k >= 0 {
-				i := live[k]
-				idx[i]++
-				if idx[i] < len(coarse[i]) {
-					break
-				}
-				idx[i] = 0
-				k--
-			}
-			if k < 0 {
-				break
-			}
-		}
-	})
+	forEachFactored(coarse, func(c *Config) { st.add(*c) })
 }
 
 // neighborsOf proposes the refinement candidates around one frontier

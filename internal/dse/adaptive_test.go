@@ -216,3 +216,61 @@ func TestAdaptiveTelemetry(t *testing.T) {
 		t.Errorf("sweep.expand observed %d times, want %d", got, want)
 	}
 }
+
+// TestMonotonePrunableHolds checks the premise of monotone pruning on
+// the full four-workload grid: along each MonotonePrunable axis, the
+// value its declaration says never loses (double buffering on, an idle
+// accelerator gated) weakly dominates its sibling — the same canonical
+// configuration with only that axis changed — on energy and latency
+// alike.
+func TestMonotonePrunableHolds(t *testing.T) {
+	better := map[string]bool{"double-buffer": true, "gate": true}
+	spec := FullSweep()
+	spec.Workloads = sim.Workloads()
+	res, err := Sweep(spec, SweepOptions{Cache: NewCache()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byKey := make(map[string]Point, len(res.Points))
+	for _, p := range res.Points {
+		byKey[p.Config.Key()] = p
+	}
+	checks := 0
+	for _, ax := range axes {
+		if !ax.Strategy.MonotonePrunable {
+			continue
+		}
+		want, ok := better[ax.Name]
+		if !ok {
+			t.Errorf("axis %s is MonotonePrunable but this test declares no better value for it", ax.Name)
+			continue
+		}
+		for _, p := range res.Points {
+			cfg := p.Config
+			if ax.relevant != nil && !ax.relevant(&cfg) {
+				continue
+			}
+			sib := cfg
+			sib.key = ""
+			ax.set(&sib, boolVal(want))
+			sib.canonicalize()
+			if sib.Key() == cfg.Key() {
+				continue // p already holds the better value
+			}
+			sp, ok := byKey[sib.Key()]
+			if !ok {
+				t.Errorf("%s: sibling %s is not in the grid", cfg.Key(), sib.Key())
+				continue
+			}
+			checks++
+			if sp.EnergyJ > p.EnergyJ || sp.TimeS > p.TimeS {
+				t.Errorf("%s=%v does not dominate: %s (%.6g J, %.6g s) vs %s (%.6g J, %.6g s)",
+					ax.Name, want, sp.Config.Key(), sp.EnergyJ, sp.TimeS, cfg.Key(), p.EnergyJ, p.TimeS)
+			}
+		}
+	}
+	if checks == 0 {
+		t.Fatal("no sibling pairs checked")
+	}
+	t.Logf("%d sibling checks over %d points", checks, len(res.Points))
+}

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/ec"
 	"repro/internal/sim"
 )
 
@@ -304,15 +303,14 @@ func archNames() []string {
 // AllCurves lists all ten NIST curves, primes first — the curve
 // dimension axis's declared value domain and default set.
 func AllCurves() []string {
-	out := append([]string{}, ec.PrimeCurveNames...)
-	return append(out, ec.BinaryCurveNames...)
+	return append(sim.CurveNames(sim.PrimeFamily), sim.CurveNames(sim.BinaryFamily)...)
 }
 
 // checkCurveName is the curve axis's domain check, shared between
 // sweep validation and CLI parsing so a typo is rejected with the
 // identical message on every path.
 func checkCurveName(name string) error {
-	if !ec.KnownCurve(name) {
+	if _, ok := sim.LookupCurve(name); !ok {
 		return fmt.Errorf("unknown curve %q (want one of %v)", name, AllCurves())
 	}
 	return nil
@@ -374,7 +372,7 @@ var axes = []*Axis{
 	{
 		Name:      "curve",
 		Doc:       "NIST curve (P-* prime field, B-* binary field)",
-		Domain:    strings.Join(ec.PrimeCurveNames, ", ") + ", " + strings.Join(ec.BinaryCurveNames, ", "),
+		Domain:    strings.Join(AllCurves(), ", "),
 		Flag:      FlagSpec{Name: "curve", Kind: FlagString, DefString: "P-256", Usage: "curve for -arch runs"},
 		Dimension: true,
 		Strategy:  Strategy{Scale: ScaleEnumerated},
@@ -415,11 +413,11 @@ var axes = []*Axis{
 		Name:     "cache",
 		Doc:      "I-cache capacity (cached architectures only)",
 		Domain:   fmt.Sprintf("%d..%d bytes", sim.MinCacheBytes, sim.MaxCacheBytes),
-		Flag:     FlagSpec{Name: "cache", Kind: FlagInt, DefInt: 4096, Usage: "I-cache bytes for cached configurations"},
+		Flag:     FlagSpec{Name: "cache", Kind: FlagInt, DefInt: sim.DefaultCacheBytes, Usage: "I-cache bytes for cached configurations"},
 		Strategy: Strategy{Scale: ScaleLog2},
 		normalize: func(s *SweepSpec) {
 			if len(s.CacheBytes) == 0 {
-				s.CacheBytes = []int{4096}
+				s.CacheBytes = []int{sim.DefaultCacheBytes}
 			}
 		},
 		values: func(s *SweepSpec) []axisValue { return intVals(s.CacheBytes) },
@@ -427,7 +425,7 @@ var axes = []*Axis{
 		set:    func(c *Config, v axisValue) { c.Opt.CacheBytes = v.i },
 		canon: func(c *Config) {
 			if c.Opt.CacheBytes == 0 {
-				c.Opt.CacheBytes = 4096
+				c.Opt.CacheBytes = sim.DefaultCacheBytes
 			}
 		},
 		relevant:     func(c *Config) bool { return c.Arch.HasCache() },
@@ -574,13 +572,13 @@ var axes = []*Axis{
 		Name:   "digit",
 		Doc:    "Billie digit-serial multiplier width",
 		Domain: fmt.Sprintf("%d..%d", sim.MinBillieDigit, sim.MaxBillieDigit),
-		Flag:   FlagSpec{Name: "digit", Kind: FlagInt, DefInt: 3, Usage: "Billie multiplier digit size"},
+		Flag:   FlagSpec{Name: "digit", Kind: FlagInt, DefInt: sim.DefaultBillieDigit, Usage: "Billie multiplier digit size"},
 		// Unit steps 1..8; the energy optimum is interior (bigger
 		// digits cost area and leakage), so not prunable.
 		Strategy: Strategy{Scale: ScaleLinear},
 		normalize: func(s *SweepSpec) {
 			if len(s.BillieDigits) == 0 {
-				s.BillieDigits = []int{3}
+				s.BillieDigits = []int{sim.DefaultBillieDigit}
 			}
 		},
 		values: func(s *SweepSpec) []axisValue { return intVals(s.BillieDigits) },
@@ -588,7 +586,7 @@ var axes = []*Axis{
 		set:    func(c *Config, v axisValue) { c.Opt.BillieDigit = v.i },
 		canon: func(c *Config) {
 			if c.Opt.BillieDigit == 0 {
-				c.Opt.BillieDigit = 3
+				c.Opt.BillieDigit = sim.DefaultBillieDigit
 			}
 		},
 		relevant:     func(c *Config) bool { return c.Arch == sim.WithBillie },

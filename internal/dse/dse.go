@@ -41,7 +41,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/ec"
 	"repro/internal/sim"
 )
 
@@ -215,20 +214,12 @@ func (c Config) Valid() bool {
 	return true
 }
 
-// securityBitsPerLevel is the NIST symmetric-equivalent strength of each
-// Figure 7.7 security level (P-521's equivalence is AES-256, not 521/2).
-var securityBitsPerLevel = [...]int{96, 112, 128, 192, 256}
-
 // SecurityLevel returns the paper's security-level index (1..5, the
 // Figure 7.7 pairing) and the symmetric-equivalent bit strength for a
-// curve name, or (0, 0) if unknown.
+// curve name, from sim's curve table, or (0, 0) if unknown.
 func SecurityLevel(curve string) (level, bits int) {
-	for i, pair := range ec.SecurityPairs {
-		if pair.Prime == curve || pair.Binary == curve {
-			return i + 1, securityBitsPerLevel[i]
-		}
-	}
-	return 0, 0
+	c, _ := sim.LookupCurve(curve)
+	return c.Level, c.SecurityBits
 }
 
 // Point is one evaluated design point: the configuration, the raw

@@ -215,12 +215,34 @@ func (s SweepSpec) Expand() []Config {
 	}
 	seen := make(map[string]bool)
 	var out []Config
+	buf := make([]byte, 0, keyBufCap)
+	forEachFactored(vals, func(c *Config) {
+		// Full canonicalization still runs per point: value-conditional
+		// collapses (an ideal cache folding the prefetch and line axes)
+		// are below the arch-level factoring, and the seen map absorbs
+		// them.
+		c.canonicalize()
+		buf = c.appendKeyTo(buf[:0])
+		if !seen[string(buf)] {
+			cfg := *c
+			cfg.key = string(buf)
+			seen[cfg.key] = true
+			out = append(out, cfg)
+		}
+	})
+	return out
+}
+
+// forEachFactored runs Expand's relevance-factored odometer over vals
+// (per-axis value lists, registry-indexed), calling fn once per point of
+// every valid dimension point's live option grid. fn gets a scratch
+// config, not yet canonical; it may modify it and must copy it to keep
+// it. Expand and the adaptive coarse seed both walk the grid here.
+func forEachFactored(vals [][]axisValue, fn func(c *Config)) {
 	live := make([]int, 0, len(optIdx))
 	idx := make([]int, len(axes))
-	buf := make([]byte, 0, keyBufCap)
-	// One scratch config, canonicalized in place per point: hoisted so
-	// the escape through the registry closures costs one allocation for
-	// the whole expansion, not one per point.
+	// One scratch config for the whole walk: it escapes through fn and
+	// the registry closures, so hoisting it costs one allocation total.
 	var scratch Config
 	lastArch := sim.Arch(-1)
 	forEachDimension(vals, func(dim *Config) {
@@ -251,20 +273,9 @@ func (s SweepSpec) Expand() []Config {
 			for _, i := range live {
 				axes[i].set(&scratch, vals[i][idx[i]])
 			}
-			// Full canonicalization still runs per point:
-			// value-conditional collapses (an ideal cache folding the
-			// prefetch and line axes) are below the arch-level
-			// factoring, and the seen map absorbs them.
-			scratch.canonicalize()
-			buf = scratch.appendKeyTo(buf[:0])
-			if !seen[string(buf)] {
-				cfg := scratch
-				cfg.key = string(buf)
-				seen[cfg.key] = true
-				out = append(out, cfg)
-			}
-			// Odometer step over the live axes only; the last is
-			// least significant.
+			fn(&scratch)
+			// Odometer step over the live axes only; the last is least
+			// significant.
 			k := len(live) - 1
 			for k >= 0 {
 				i := live[k]
@@ -276,11 +287,10 @@ func (s SweepSpec) Expand() []Config {
 				k--
 			}
 			if k < 0 {
-				break
+				return
 			}
 		}
 	})
-	return out
 }
 
 // dedupAxisValues collapses an axis's swept values by canonical effect:

@@ -159,28 +159,3 @@ func NISTBinaryCurve(name string, alg gf2.MulAlg) *BinaryCurve {
 		NBits: def.nbits,
 	}
 }
-
-// KnownCurve reports whether name is one of the ten NIST curves.
-func KnownCurve(name string) bool {
-	for _, n := range PrimeCurveNames {
-		if n == name {
-			return true
-		}
-	}
-	for _, n := range BinaryCurveNames {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
-// SecurityPairs maps each prime curve to the binary curve of equivalent
-// security (Figure 7.7's pairing).
-var SecurityPairs = []struct{ Prime, Binary string }{
-	{"P-192", "B-163"},
-	{"P-224", "B-233"},
-	{"P-256", "B-283"},
-	{"P-384", "B-409"},
-	{"P-521", "B-571"},
-}

@@ -61,6 +61,23 @@ func ROMReadEnergy() float64 { return SRAMReadEnergy(romBytes) }
 // rather than 4x.
 func ROMLineReadEnergy() float64 { return 2.0 * SRAMReadEnergy(romBytes) }
 
+// ROM port timing (Sections 5.3.2 and 7.5), shared by the exact cache
+// model (internal/cache) and sim's analytic miss pricing: a fill crosses
+// the 128-bit port one beat at a time, and a single-beat fill stalls
+// the core three cycles.
+const (
+	ROMPortBytes = 16 // bytes per ROM port beat
+	ROMFillStall = 3  // core stall cycles for a single-beat fill
+)
+
+// BeatsPerFill is how many ROM port beats one fill of a lineBytes-sized
+// line takes; lines narrower than the port still cost one full beat.
+func BeatsPerFill(lineBytes int) int { return max(lineBytes/ROMPortBytes, 1) }
+
+// MissPenaltyFor is the core stall per miss at a line size: the
+// single-beat stall plus one cycle per extra pipelined beat.
+func MissPenaltyFor(lineBytes int) int { return ROMFillStall + BeatsPerFill(lineBytes) - 1 }
+
 // Pete core power (45 nm, 333 MHz). The clock network and registers
 // dominate and stay active even while stalled (Section 7.1's observation
 // about Monte configurations).

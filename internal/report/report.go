@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"repro/internal/billie"
-	"repro/internal/ec"
 	"repro/internal/energy"
 	"repro/internal/monte"
 	"repro/internal/sim"
@@ -40,6 +39,10 @@ func (b *reportBuilder) run(a sim.Arch, curve string, opt sim.Options) sim.Resul
 	return r
 }
 
+// primeCurves and binaryCurves are the curve table's two families, each
+// in ascending security order.
+var primeCurves, binaryCurves = sim.CurveNames(sim.PrimeFamily), sim.CurveNames(sim.BinaryFamily)
+
 // uJ formats Joules as microjoules.
 func uJ(j float64) string { return fmt.Sprintf("%8.2f", j*1e6) }
 
@@ -58,7 +61,7 @@ func Fig7_1() (string, error) {
 	b.WriteString(header("Figure 7.1: Energy per Sign+Verify vs key size (prime fields, uJ)"))
 	fmt.Fprintf(&b, "%-8s %12s %12s %16s %12s\n", "curve", "baseline", "isa-ext", "isa-ext+4KB-IC", "monte")
 	opt := sim.DefaultOptions()
-	for _, c := range ec.PrimeCurveNames {
+	for _, c := range primeCurves {
 		base := b.run(sim.Baseline, c, opt)
 		ext := b.run(sim.ISAExt, c, opt)
 		ic := b.run(sim.ISAExtCache, c, opt)
@@ -108,7 +111,7 @@ func Fig7_3() (string, error) {
 	b.WriteString(header("Figure 7.3: Baseline energy breakdown vs key size (uJ)"))
 	breakdownHeader(&b)
 	opt := sim.DefaultOptions()
-	for _, c := range ec.PrimeCurveNames {
+	for _, c := range primeCurves {
 		r := b.run(sim.Baseline, c, opt)
 		breakdownRow(&b, c, r.CombinedBreakdown())
 	}
@@ -122,12 +125,12 @@ func Fig7_4() (string, error) {
 	opt := sim.DefaultOptions()
 	b.WriteString("(a) ISA extended\n")
 	breakdownHeader(&b)
-	for _, c := range ec.PrimeCurveNames {
+	for _, c := range primeCurves {
 		breakdownRow(&b, c, b.run(sim.ISAExt, c, opt).CombinedBreakdown())
 	}
 	b.WriteString("(b) with Monte\n")
 	breakdownHeader(&b)
-	for _, c := range ec.PrimeCurveNames {
+	for _, c := range primeCurves {
 		breakdownRow(&b, c, b.run(sim.WithMonte, c, opt).CombinedBreakdown())
 	}
 	return b.String(), b.err
@@ -139,7 +142,7 @@ func Fig7_5() (string, error) {
 	b.WriteString(header("Figure 7.5: Energy per Sign+Verify vs key size (binary fields, uJ)"))
 	fmt.Fprintf(&b, "%-8s %14s %14s %8s\n", "curve", "software-only", "binary-isa", "factor")
 	opt := sim.DefaultOptions()
-	for _, c := range ec.BinaryCurveNames {
+	for _, c := range binaryCurves {
 		sw := b.run(sim.Baseline, c, opt)
 		ext := b.run(sim.ISAExt, c, opt)
 		fmt.Fprintf(&b, "%-8s %14s %14s %7.2fx\n", c,
@@ -156,7 +159,7 @@ func Fig7_6() (string, error) {
 	b.WriteString(header("Figure 7.6: Binary ISA-ext energy breakdown vs key size (uJ)"))
 	breakdownHeader(&b)
 	opt := sim.DefaultOptions()
-	for _, c := range ec.BinaryCurveNames {
+	for _, c := range binaryCurves {
 		breakdownRow(&b, c, b.run(sim.ISAExt, c, opt).CombinedBreakdown())
 	}
 	return b.String(), b.err
@@ -170,15 +173,16 @@ func Fig7_7() (string, error) {
 	fmt.Fprintf(&b, "%-14s %11s %11s %11s %11s %11s %11s\n",
 		"pair", "p-base", "p-isa", "monte", "b-base", "b-isa", "billie")
 	opt := sim.DefaultOptions()
-	for _, pair := range ec.SecurityPairs {
-		pb := b.run(sim.Baseline, pair.Prime, opt)
-		pi := b.run(sim.ISAExt, pair.Prime, opt)
-		mo := b.run(sim.WithMonte, pair.Prime, opt)
-		bb := b.run(sim.Baseline, pair.Binary, opt)
-		bi := b.run(sim.ISAExt, pair.Binary, opt)
-		bl := b.run(sim.WithBillie, pair.Binary, opt)
+	for i, prime := range primeCurves {
+		binary := binaryCurves[i] // the same security level
+		pb := b.run(sim.Baseline, prime, opt)
+		pi := b.run(sim.ISAExt, prime, opt)
+		mo := b.run(sim.WithMonte, prime, opt)
+		bb := b.run(sim.Baseline, binary, opt)
+		bi := b.run(sim.ISAExt, binary, opt)
+		bl := b.run(sim.WithBillie, binary, opt)
 		fmt.Fprintf(&b, "%-14s %11s %11s %11s %11s %11s %11s\n",
-			pair.Prime+"/"+pair.Binary,
+			prime+"/"+binary,
 			uJ(pb.TotalEnergy()), uJ(pi.TotalEnergy()), uJ(mo.TotalEnergy()),
 			uJ(bb.TotalEnergy()), uJ(bi.TotalEnergy()), uJ(bl.TotalEnergy()))
 	}
@@ -192,12 +196,12 @@ func Fig7_8() (string, error) {
 	opt := sim.DefaultOptions()
 	b.WriteString("Monte (prime fields)\n")
 	breakdownHeader(&b)
-	for _, c := range ec.PrimeCurveNames {
+	for _, c := range primeCurves {
 		breakdownRow(&b, c, b.run(sim.WithMonte, c, opt).CombinedBreakdown())
 	}
 	b.WriteString("Billie (binary fields)\n")
 	breakdownHeader(&b)
-	for _, c := range ec.BinaryCurveNames {
+	for _, c := range binaryCurves {
 		breakdownRow(&b, c, b.run(sim.WithBillie, c, opt).CombinedBreakdown())
 	}
 	return b.String(), b.err
@@ -296,7 +300,7 @@ func Fig7_13() (string, error) {
 	b.WriteString(header("Figure 7.13: ISA-ext + 4KB I-cache breakdown vs key size (uJ)"))
 	breakdownHeader(&b)
 	opt := sim.DefaultOptions()
-	for _, c := range ec.PrimeCurveNames {
+	for _, c := range primeCurves {
 		breakdownRow(&b, c, b.run(sim.ISAExtCache, c, opt).CombinedBreakdown())
 	}
 	return b.String(), b.err
@@ -364,7 +368,7 @@ func Table7_1() (string, error) {
 	fmt.Fprintf(&b, "%-12s %-8s %9s %9s %9s\n", "uarch", "curve", "sign", "verify", "sign+ver")
 	opt := sim.DefaultOptions()
 	for _, a := range []sim.Arch{sim.Baseline, sim.ISAExt, sim.WithMonte} {
-		for _, c := range ec.PrimeCurveNames {
+		for _, c := range primeCurves {
 			r := b.run(a, c, opt)
 			fmt.Fprintf(&b, "%-12s %-8s %9s %9s %9s\n", a, c,
 				k100(r.SignCycles()), k100(r.VerifyCycles()), k100(r.TotalCycles()))
@@ -380,7 +384,7 @@ func Table7_2() (string, error) {
 	fmt.Fprintf(&b, "%-12s %-8s %9s %9s %9s\n", "uarch", "curve", "sign", "verify", "sign+ver")
 	opt := sim.DefaultOptions()
 	for _, a := range []sim.Arch{sim.Baseline, sim.ISAExt, sim.WithBillie} {
-		for _, c := range ec.BinaryCurveNames {
+		for _, c := range binaryCurves {
 			r := b.run(a, c, opt)
 			fmt.Fprintf(&b, "%-12s %-8s %9s %9s %9s\n", a, c,
 				k100(r.SignCycles()), k100(r.VerifyCycles()), k100(r.TotalCycles()))
@@ -486,57 +490,71 @@ func GatingStudy() (string, error) {
 // memo's hit and miss counts, are those of the lazy render.
 func All() (string, error) {
 	warm := make(map[string][]string)
-	for _, curves := range [][]string{ec.PrimeCurveNames, ec.BinaryCurveNames} {
+	for _, curves := range [][]string{primeCurves, binaryCurves} {
 		for _, c := range curves {
 			warm[c] = []string{sim.WorkloadSignVerify}
 		}
 	}
 	sim.WarmCensuses(warm, 0)
-	names := Names()
-	parts := make([]string, 0, len(names))
-	for _, name := range names {
-		out, _, err := ByName(name)
+	parts := make([]string, 0, len(experiments))
+	for _, e := range experiments {
+		out, err := e.render()
 		if err != nil {
-			return "", fmt.Errorf("%s: %w", name, err)
+			return "", fmt.Errorf("%s: %w", e.name, err)
 		}
 		parts = append(parts, out)
 	}
 	return strings.Join(parts, "\n"), nil
 }
 
-// ByName returns the named experiment output ("7.1", "table7.3", ...).
-// ok reports whether the name is a known experiment; a known experiment
-// that fails to render returns its error instead of panicking.
+// experiments lists every table and figure with its renderer, in
+// presentation order: the Names, -list and All order.
+var experiments = []struct {
+	name   string
+	render func() (string, error)
+}{
+	{"table7.1", Table7_1}, {"table7.2", Table7_2}, {"table7.3", Table7_3}, {"table7.4", Table7_4},
+	{"table7.5", Table7_5}, {"fig7.1", Fig7_1}, {"fig7.2", Fig7_2}, {"fig7.3", Fig7_3},
+	{"fig7.4", Fig7_4}, {"fig7.5", Fig7_5}, {"fig7.6", Fig7_6}, {"fig7.7", Fig7_7},
+	{"fig7.8", Fig7_8}, {"fig7.9", Fig7_9}, {"fig7.10", Fig7_10}, {"fig7.11", Fig7_11},
+	{"fig7.12", Fig7_12}, {"fig7.13", Fig7_13}, {"fig7.14", Fig7_14}, {"fig7.15", Fig7_15},
+	{"doublebuffer", DoubleBufferStudy}, {"gating", GatingStudy}, {"ffauwidth", FFAUWidthStudy},
+	{"bestdesign", BestDesign}, {"handshake", HandshakeStudy},
+}
+
+// ByName returns the named experiment output ("table7.3", "fig7.1", ...;
+// case-insensitive). ok reports whether the name is a known experiment;
+// a known experiment that fails to render returns its error instead of
+// panicking.
 func ByName(name string) (out string, ok bool, err error) {
-	m := map[string]func() (string, error){
-		"fig7.1": Fig7_1, "fig7.2": Fig7_2, "fig7.3": Fig7_3,
-		"fig7.4": Fig7_4, "fig7.5": Fig7_5, "fig7.6": Fig7_6,
-		"fig7.7": Fig7_7, "fig7.8": Fig7_8, "fig7.9": Fig7_9,
-		"fig7.10": Fig7_10, "fig7.11": Fig7_11, "fig7.12": Fig7_12,
-		"fig7.13": Fig7_13, "fig7.14": Fig7_14, "fig7.15": Fig7_15,
-		"table7.1": Table7_1, "table7.2": Table7_2, "table7.3": Table7_3,
-		"table7.4": Table7_4, "table7.5": Table7_5,
-		"doublebuffer": DoubleBufferStudy,
-		"gating":       GatingStudy,
-		"ffauwidth":    FFAUWidthStudy,
-		"bestdesign":   BestDesign,
-		"handshake":    HandshakeStudy,
+	name = strings.ToLower(name)
+	for _, e := range experiments {
+		if e.name == name {
+			out, err = e.render()
+			return out, true, err
+		}
 	}
-	f, ok := m[strings.ToLower(name)]
+	return "", false, nil
+}
+
+// Experiment is ByName with the errors dse and the repro package print:
+// an unknown name lists the known ones, a failure names its experiment.
+func Experiment(name string) (string, error) {
+	out, ok, err := ByName(name)
 	if !ok {
-		return "", false, nil
+		return "", fmt.Errorf("repro: unknown experiment %q (have %v)", name, Names())
 	}
-	out, err = f()
-	return out, true, err
+	if err != nil {
+		return "", fmt.Errorf("repro: experiment %q: %w", name, err)
+	}
+	return out, nil
 }
 
 // Names lists the available experiment identifiers.
 func Names() []string {
-	return []string{
-		"table7.1", "table7.2", "table7.3", "table7.4", "table7.5",
-		"fig7.1", "fig7.2", "fig7.3", "fig7.4", "fig7.5", "fig7.6",
-		"fig7.7", "fig7.8", "fig7.9", "fig7.10", "fig7.11", "fig7.12",
-		"fig7.13", "fig7.14", "fig7.15", "doublebuffer", "gating",
-		"ffauwidth", "bestdesign", "handshake",
+	out := make([]string, len(experiments))
+	for i, e := range experiments {
+		out[i] = e.name
 	}
+	return out
 }

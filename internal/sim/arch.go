@@ -17,6 +17,7 @@ package sim
 import (
 	"fmt"
 
+	"repro/internal/billie"
 	"repro/internal/energy"
 )
 
@@ -99,20 +100,22 @@ type Options struct {
 
 // DefaultOptions matches the headline evaluation settings.
 func DefaultOptions() Options {
-	return Options{CacheBytes: 4096, DoubleBuffer: true, BillieDigit: 3, MonteWidth: DefaultMonteWidth}
+	return Options{CacheBytes: DefaultCacheBytes, DoubleBuffer: true, BillieDigit: DefaultBillieDigit, MonteWidth: DefaultMonteWidth}
 }
 
 // Modeled option ranges: the cache, digit-size and datapath-width models
 // are calibrated inside these bounds and Run rejects values outside them
 // rather than silently extrapolating.
 const (
-	MinCacheBytes     = 256
-	MaxCacheBytes     = 64 << 10
-	MinBillieDigit    = 1
-	MaxBillieDigit    = 8
-	MinMonteWidth     = 8
-	MaxMonteWidth     = 64
-	DefaultMonteWidth = 32
+	MinCacheBytes      = 256
+	MaxCacheBytes      = 64 << 10
+	DefaultCacheBytes  = 4096
+	MinBillieDigit     = 1
+	MaxBillieDigit     = 8
+	DefaultBillieDigit = billie.DefaultDigit
+	MinMonteWidth      = 8
+	MaxMonteWidth      = 64
+	DefaultMonteWidth  = 32
 
 	// Cache line sizes: the Section 5.3 hardware uses 16-byte lines (one
 	// 128-bit ROM beat); the miss-ratio and fill-cost scaling is modeled

@@ -168,9 +168,10 @@ func lineMissScale(lineBytes int) float64 {
 	return math.Pow(float64(DefaultCacheLineBytes)/float64(lineBytes), lineMissExponent)
 }
 
-// The ROM beats per fill and the per-miss stall come straight from the
-// hardware model (cache.BeatsPerFill, cache.MissPenaltyFor), so the
-// analytic pricing here and the exact ICache never drift apart.
+// The ROM beats per fill and the per-miss stall come from the ROM port
+// formulas the exact ICache also calls (energy.BeatsPerFill,
+// energy.MissPenaltyFor), so the analytic pricing here and the hardware
+// model never drift apart.
 
 // prefetchCoverage is the fraction of misses the stream buffer converts to
 // hits; sequential fetch makes it high for small caches and lower once

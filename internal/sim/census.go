@@ -3,11 +3,10 @@ package sim
 import (
 	"cmp"
 	"fmt"
+	"iter"
 	"maps"
 	"runtime"
 	"slices"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -47,6 +46,10 @@ import (
 // hits + misses equals the phase lookups Run made and misses the
 // entries profiled, warmed or not.
 //
+// An entry holds operation counts only; pricing reads the curve's sizes
+// from the curve table (curves.go). This file and workload.go are the
+// census generator, the only sim files that import ec, ecdsa, mp or gf2.
+//
 // Profiling runs on the fastest functional field implementation of each
 // family, censusPrimeAlg and censusBinaryAlg. One sign-verify profile,
 // best of 45 on a 2-vCPU Xeon host with Comb on 64-bit limbs end to end
@@ -72,19 +75,10 @@ type censusKey struct {
 	phase string
 }
 
-// curveParams are the curve sizes the pricing path needs downstream, kept
-// with every entry so serving a memo hit touches no curve construction.
-type curveParams struct {
-	k     int // field element size in 32-bit words
-	bits  int // field size in bits (prime: F.Bits; binary: F.M)
-	nbits int // group-order size in bits
-}
-
 // censusProfile is a profile of some phases on one curve, in the order
 // requested.
 type censusProfile struct {
 	phases []profiledPhase
-	curveParams
 }
 
 // profileFunc executes the named phases functionally on a curve, in
@@ -96,19 +90,16 @@ type profileFunc func(curve string, phases []string) (censusProfile, error)
 // census field implementation.
 func profileCurve(curveName string, phases []string) (censusProfile, error) {
 	if IsPrimeCurve(curveName) {
-		curve := ec.NISTPrimeCurve(curveName, censusPrimeAlg)
-		ph, err := profileWorkload(curveName, primeOps(curve), phases)
-		return censusProfile{ph, curveParams{curve.F.K, curve.F.Bits, curve.NBits}}, err
+		ph, err := profileWorkload(curveName, primeOps(ec.NISTPrimeCurve(curveName, censusPrimeAlg)), phases)
+		return censusProfile{ph}, err
 	}
-	curve := ec.NISTBinaryCurve(curveName, censusBinaryAlg)
-	ph, err := profileWorkload(curveName, binaryOps(curve), phases)
-	return censusProfile{ph, curveParams{curve.F.K, curve.F.M, curve.NBits}}, err
+	ph, err := profileWorkload(curveName, binaryOps(ec.NISTBinaryCurve(curveName, censusBinaryAlg)), phases)
+	return censusProfile{ph}, err
 }
 
 type censusEntry struct {
 	census opCensus
-	curveParams
-	err error
+	err    error
 	// served marks an entry a lookup has served: its first serve counted
 	// as its miss, every later serve of a good entry counts as a hit.
 	served bool
@@ -174,9 +165,7 @@ var (
 // curve or workload is skipped, and a failed pass remembered, for the
 // Run that serves it to report with its configuration named.
 func WarmCensuses(workloads map[string][]string, workers int) {
-	curves := slices.SortedFunc(maps.Keys(workloads), func(a, b string) int {
-		return cmp.Compare(fieldBits(b), fieldBits(a))
-	})
+	curves := passOrder(maps.Keys(workloads))
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -187,7 +176,7 @@ func WarmCensuses(workloads map[string][]string, workers int) {
 		go func() {
 			defer wg.Done()
 			for curve := range jobs {
-				if ec.KnownCurve(curve) {
+				if _, ok := LookupCurve(curve); ok {
 					censuses.fill(curve, workloadPhases(workloads[curve]), profileCurve)
 				}
 			}
@@ -212,11 +201,14 @@ func workloadPhases(workloads []string) []string {
 	return phases
 }
 
-// fieldBits returns the field size a NIST curve's name carries ("B-571"
-// is over GF(2^571)), the rank of its census pass's cost.
-func fieldBits(curve string) int {
-	n, _ := strconv.Atoi(curve[strings.IndexByte(curve, '-')+1:])
-	return n
+// passOrder sorts curves widest field first, the rank of their census
+// passes' cost; an unknown curve, which has no pass, sorts last.
+func passOrder(curves iter.Seq[string]) []string {
+	return slices.SortedFunc(curves, func(a, b string) int {
+		ca, _ := LookupCurve(a)
+		cb, _ := LookupCurve(b)
+		return cmp.Compare(cb.Bits, ca.Bits)
+	})
 }
 
 // fill profiles, in one pass under the curve's pass lock, every entry
@@ -241,7 +233,7 @@ func (c *censusCache) fill(curve string, phases []string, profile profileFunc) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i, ph := range missing {
-		e := censusEntry{curveParams: prof.curveParams, err: err}
+		e := censusEntry{err: err}
 		if i < len(prof.phases) {
 			e.census, e.err = prof.phases[i].census, nil
 		}
@@ -298,7 +290,6 @@ func (c *censusCache) get(curve string, phases []string, profile profileFunc) (c
 			continue
 		}
 		out.phases[i] = profiledPhase{name: ph, census: e.census}
-		out.curveParams = e.curveParams
 	}
 	c.mu.Unlock()
 	c.hits.Add(uint64(hits))

@@ -15,8 +15,10 @@ import (
 //	go test ./internal/sim/ -run 'TestCensusGolden|TestKernelGolden' -update
 var update = flag.Bool("update", false, "rewrite testdata/census.golden and testdata/kernels.golden from current output")
 
-// TestCensusGolden pins every (curve, phase) census and its curve
-// parameters, as profileCurve produces them, against a checked-in file.
+// TestCensusGolden pins every (curve, phase) census, as profileCurve
+// produces it, against a checked-in file. Each curve's header line
+// carries its sizes from the curve table (TestCurveTable checks them
+// against the constructed curve).
 // It is the absolute form of census equality, the oracle for every
 // arithmetic change in ec, ecdsa, mp and gf2: a faster kernel must leave
 // every line as it is. Regenerate only for an intended change to what
@@ -31,7 +33,8 @@ func TestCensusGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", curve, err)
 		}
-		fmt.Fprintf(&b, "%s k=%d bits=%d nbits=%d\n", curve, prof.k, prof.bits, prof.nbits)
+		c, _ := LookupCurve(curve)
+		fmt.Fprintf(&b, "%s k=%d bits=%d nbits=%d\n", curve, c.K, c.Bits, c.NBits)
 		for _, ph := range prof.phases {
 			fmt.Fprintf(&b, "  %-7s %+v\n", ph.name, ph.census)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -117,13 +118,10 @@ func TestCensusMemoPhaseInvariance(t *testing.T) {
 			for _, ph := range refProf.phases {
 				ref[ph.name] = ph
 			}
-			check := func(label string, got []profiledPhase, gotParams curveParams, phases []string, err error) {
+			check := func(label string, got []profiledPhase, phases []string, err error) {
 				t.Helper()
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
-				}
-				if gotParams != refProf.curveParams {
-					t.Errorf("%s: curve params %+v, want %+v", label, gotParams, refProf.curveParams)
 				}
 				if len(got) != len(phases) {
 					t.Fatalf("%s: profiled %d phases, want %d", label, len(got), len(phases))
@@ -136,21 +134,21 @@ func TestCensusMemoPhaseInvariance(t *testing.T) {
 			}
 			for _, phases := range subsets {
 				prof, err := profileCurve(curve, phases)
-				check(fmt.Sprint(phases), prof.phases, prof.curveParams, phases, err)
+				check(fmt.Sprint(phases), prof.phases, phases, err)
 			}
 			for _, wl := range workloadDefs {
 				if IsPrimeCurve(curve) {
 					for _, alg := range []mp.MulAlg{mp.OSNIST, mp.PSNIST, mp.CIOS, mp.FIPS} {
 						c := ec.NISTPrimeCurve(curve, alg)
 						got, err := profileWorkload(curve, primeOps(c), wl.phases)
-						check(alg.String()+"/"+wl.name, got, curveParams{c.F.K, c.F.Bits, c.NBits}, wl.phases, err)
+						check(alg.String()+"/"+wl.name, got, wl.phases, err)
 					}
 					continue
 				}
 				for _, alg := range []gf2.MulAlg{gf2.Comb, gf2.CLMul} {
 					c := ec.NISTBinaryCurve(curve, alg)
 					got, err := profileWorkload(curve, binaryOps(c), wl.phases)
-					check(alg.String()+"/"+wl.name, got, curveParams{c.F.K, c.F.M, c.NBits}, wl.phases, err)
+					check(alg.String()+"/"+wl.name, got, wl.phases, err)
 				}
 			}
 		})
@@ -196,13 +194,13 @@ func TestCensusMemoErrorSemantics(t *testing.T) {
 		if !reflect.DeepEqual(phases, []string{PhaseSign, PhaseVerify}) {
 			t.Errorf("profiled %v, want sign and verify together", phases)
 		}
-		return censusProfile{phases: []profiledPhase{{name: PhaseSign}}, curveParams: curveParams{k: 6}}, boom
+		return censusProfile{phases: []profiledPhase{{name: PhaseSign, census: opCensus{mul: 6}}}}, boom
 	}
 	if _, err := censuses.get("P-000", []string{PhaseVerify}, signOnly); err != boom {
 		t.Fatalf("verify get: err = %v, want %v", err, boom)
 	}
 	prof, err := censuses.get("P-000", []string{PhaseSign}, failing)
-	if err != nil || prof.k != 6 {
+	if err != nil || prof.phases[0].census.mul != 6 {
 		t.Fatalf("sign get: %+v, %v; want the published sign entry", prof, err)
 	}
 	if h, m := CensusMemoStats(); h != 0 || m != 3 {
@@ -405,17 +403,24 @@ func TestCensusMemoWarmUp(t *testing.T) {
 	}
 }
 
-// TestFieldBitsRanksCurves pins the warm-up's cost rank: fieldBits reads
-// every curve's field size off its name, as its arithmetic defines it.
+// TestFieldBitsRanksCurves pins the warm-up's cost rank: passOrder
+// starts the curves widest field first, as their arithmetic defines the
+// field size, and an unknown curve last.
 func TestFieldBitsRanksCurves(t *testing.T) {
+	bits := make(map[string]int)
 	for _, name := range ec.PrimeCurveNames {
-		if got, want := fieldBits(name), ec.NISTPrimeCurve(name, mp.OSNIST).F.Bits; got != want {
-			t.Errorf("fieldBits(%s) = %d, want %d", name, got, want)
-		}
+		bits[name] = ec.NISTPrimeCurve(name, mp.OSNIST).F.Bits
 	}
 	for _, name := range ec.BinaryCurveNames {
-		if got, want := fieldBits(name), ec.NISTBinaryCurve(name, gf2.Comb).F.M; got != want {
-			t.Errorf("fieldBits(%s) = %d, want %d", name, got, want)
+		bits[name] = ec.NISTBinaryCurve(name, gf2.Comb).F.M
+	}
+	got := passOrder(slices.Values(append([]string{"X-1"}, allCurves()...)))
+	if len(got) != len(bits)+1 || got[len(got)-1] != "X-1" {
+		t.Fatalf("passOrder = %v, want the ten curves then X-1", got)
+	}
+	for i := 1; i < len(bits); i++ {
+		if bits[got[i-1]] <= bits[got[i]] {
+			t.Errorf("passOrder starts %s (%d bits) before %s (%d bits)", got[i-1], bits[got[i-1]], got[i], bits[got[i]])
 		}
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cache"
-	"repro/internal/ec"
 	"repro/internal/energy"
 )
 
@@ -149,14 +147,15 @@ func priceFieldOps(t *tally, c FieldCosts, mul, sqr, add, sub, inv uint64) {
 	t.addOps(c.Inv, inv)
 }
 
-// pricePointOps adds the per-point-operation software glue; accelerated
-// configurations keep coordinates out of Pete's hands and pay less.
-func (t *tally) pricePointOps(p ec.PointOpCounters, accel bool) {
+// pricePointOps adds the per-point-operation software glue for n point
+// doublings and additions; accelerated configurations keep coordinates
+// out of Pete's hands and pay less.
+func (t *tally) pricePointOps(n uint64, accel bool) {
 	ov := uint64(pointOpOverheadCycles)
 	if accel {
 		ov = pointOpOverheadAccel
 	}
-	t.addOverhead((p.Dbl + p.Add) * ov)
+	t.addOverhead(n * ov)
 }
 
 // Run executes the workload selected by opt.Workload (default: one ECDSA
@@ -171,14 +170,15 @@ func Run(arch Arch, curveName string, opt Options) (Result, error) {
 			reg.Histogram("sim.run").Observe(time.Since(start))
 		}(time.Now())
 	}
-	if !ec.KnownCurve(curveName) {
+	curve, ok := LookupCurve(curveName)
+	if !ok {
 		return Result{}, fmt.Errorf("sim: unknown curve %q", curveName)
 	}
 	if opt.CacheBytes == 0 {
-		opt.CacheBytes = 4096
+		opt.CacheBytes = DefaultCacheBytes
 	}
 	if opt.BillieDigit == 0 {
-		opt.BillieDigit = 3
+		opt.BillieDigit = DefaultBillieDigit
 	}
 	if opt.MonteWidth == 0 {
 		opt.MonteWidth = DefaultMonteWidth
@@ -195,7 +195,7 @@ func Run(arch Arch, curveName string, opt Options) (Result, error) {
 	}
 	// validateOptions already rejected unknown workload names.
 	wl, _ := workloadByName(opt.Workload)
-	return runWorkload(arch, curveName, opt, wl)
+	return runWorkload(arch, curve, opt, wl)
 }
 
 // MustRun is Run that panics on error (harness use).
@@ -213,17 +213,18 @@ func digest() []byte {
 }
 
 // runWorkload prices the workload's memoized per-phase censuses for one
-// configuration. A census depends only on (curve, phase), so serving it
-// involves no architecture at all; the arch and options only price it.
-func runWorkload(arch Arch, curveName string, opt Options, wl workloadDef) (Result, error) {
-	prime := IsPrimeCurve(curveName)
+// configuration, at the curve table's sizes. A census depends only on
+// (curve, phase), so serving it involves no architecture at all; the
+// arch and options only price it.
+func runWorkload(arch Arch, curve CurveInfo, opt Options, wl workloadDef) (Result, error) {
+	prime := curve.Family == PrimeFamily
 	if prime && arch == WithBillie {
-		return Result{}, fmt.Errorf("sim: Billie is a binary-field accelerator; cannot run %s", curveName)
+		return Result{}, fmt.Errorf("sim: Billie is a binary-field accelerator; cannot run %s", curve.Name)
 	}
 	if !prime && arch.HasMonte() {
-		return Result{}, fmt.Errorf("sim: Monte is a prime-field accelerator; cannot run %s", curveName)
+		return Result{}, fmt.Errorf("sim: Monte is a prime-field accelerator; cannot run %s", curve.Name)
 	}
-	prof, err := censuses.get(curveName, wl.phases, profileCurve)
+	prof, err := censuses.get(curve.Name, wl.phases, profileCurve)
 	if err != nil {
 		return Result{}, err
 	}
@@ -235,16 +236,16 @@ func runWorkload(arch Arch, curveName string, opt Options, wl workloadDef) (Resu
 	var fieldCosts FieldCosts
 	var accel bool
 	if prime {
-		fieldCosts, accel = kc.primeFieldCosts(arch, curveName, prof.bits, prof.k, opt), arch.HasMonte()
+		fieldCosts, accel = kc.primeFieldCosts(arch, curve.Name, curve.Bits, curve.K, opt), arch.HasMonte()
 	} else {
-		fieldCosts, accel = kc.binaryFieldCosts(arch, prof.bits, prof.k, opt), arch == WithBillie
+		fieldCosts, accel = kc.binaryFieldCosts(arch, curve.Bits, curve.K, opt), arch == WithBillie
 	}
-	orderCosts := kc.orderCosts(arch, prof.nbits, opt)
+	orderCosts := kc.orderCosts(arch, curve.NBits, opt)
 	if err := kc.err(); err != nil {
 		return Result{}, err
 	}
 	tallies := priceWorkload(prof.phases, fieldCosts, orderCosts, accel)
-	return assemble(arch, curveName, opt, wl, prof.phases, tallies, prof.bits)
+	return assemble(arch, curve.Name, opt, wl, prof.phases, tallies, curve.Bits)
 }
 
 // orderCosts prices group-order (protocol) arithmetic, which always
@@ -281,7 +282,7 @@ func priceCensus(c opCensus, fc, oc FieldCosts, accel bool) tally {
 	var t tally
 	priceFieldOps(&t, fc, c.mul, c.sqr, c.add, c.sub, c.inv)
 	priceFieldOps(&t, oc, c.order.Mul, c.order.Sqr, c.order.Add, c.order.Sub, c.order.Inv)
-	t.pricePointOps(c.point, accel)
+	t.pricePointOps(c.point.Dbl+c.point.Add, accel)
 	t.addOverhead(ecdsaFixedOverheadCycles)
 	return t
 }
@@ -318,7 +319,7 @@ func assemble(arch Arch, curveName string, opt Options, wl workloadDef, phases [
 	}
 	res := Result{Arch: arch, Curve: curveName, Opt: opt, Workload: wl.name}
 
-	// Line-size scaling (cache.EffectiveLine semantics): the miss ratio,
+	// Line-size scaling: the miss ratio,
 	// the per-miss stall, and the ROM beats per fill all derive from the
 	// configured line. At the default 16-byte line every factor is
 	// exactly 1x/3-cycle, so pre-axis results are bit-identical.
@@ -327,8 +328,8 @@ func assemble(arch Arch, curveName string, opt Options, wl workloadDef, phases [
 		line = DefaultCacheLineBytes
 	}
 	lineScale := lineMissScale(line)
-	beats := float64(cache.BeatsPerFill(line))
-	penalty := float64(cache.MissPenaltyFor(line))
+	beats := float64(energy.BeatsPerFill(line))
+	penalty := float64(energy.MissPenaltyFor(line))
 
 	apply := func(t tally) (uint64, energy.Breakdown, uint64, uint64) {
 		cycles := t.cycles

@@ -86,15 +86,16 @@ func TestBinaryBeatsPrimeAtEqualSecurity(t *testing.T) {
 	// shrinking as the binary field outgrows its prime pair.
 	opt := DefaultOptions()
 	var prev float64
-	for i, pair := range ec.SecurityPairs {
-		p := run(t, ISAExt, pair.Prime, opt)
-		b := run(t, ISAExt, pair.Binary, opt)
+	primes, binaries := CurveNames(PrimeFamily), CurveNames(BinaryFamily)
+	for i, prime := range primes {
+		p := run(t, ISAExt, prime, opt)
+		b := run(t, ISAExt, binaries[i], opt)
 		f := p.TotalEnergy() / b.TotalEnergy()
 		if f < 1.05 || f > 2.6 {
 			t.Errorf("%s vs %s: binary advantage %.2f outside [1.05, 2.6]",
-				pair.Prime, pair.Binary, f)
+				prime, binaries[i], f)
 		}
-		if i == len(ec.SecurityPairs)-1 && f >= prev {
+		if i == len(primes)-1 && f >= prev {
 			t.Errorf("binary advantage should shrink at the largest pair: %.2f !< %.2f", f, prev)
 		}
 		prev = f

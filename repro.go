@@ -106,19 +106,14 @@ type Curve struct {
 
 // NewCurve returns a named NIST curve ("P-192".."P-521", "B-163".."B-571").
 func NewCurve(name string) (*Curve, error) {
-	if sim.IsPrimeCurve(name) {
-		for _, n := range ec.PrimeCurveNames {
-			if n == name {
-				return &Curve{name: name, prime: ec.NISTPrimeCurve(name, mp.PSNIST)}, nil
-			}
-		}
+	c, ok := sim.LookupCurve(name)
+	if !ok {
+		return nil, fmt.Errorf("repro: unknown curve %q", name)
 	}
-	for _, n := range ec.BinaryCurveNames {
-		if n == name {
-			return &Curve{name: name, binary: ec.NISTBinaryCurve(name, gf2.Comb)}, nil
-		}
+	if c.Family == sim.PrimeFamily {
+		return &Curve{name: name, prime: ec.NISTPrimeCurve(name, mp.PSNIST)}, nil
 	}
-	return nil, fmt.Errorf("repro: unknown curve %q", name)
+	return &Curve{name: name, binary: ec.NISTBinaryCurve(name, gf2.Comb)}, nil
 }
 
 // Name returns the curve name.
@@ -266,16 +261,7 @@ func ResetSweepCache() { dse.SharedCache().Reset() }
 
 // Experiment regenerates one of the paper's tables or figures by
 // identifier (see ExperimentNames).
-func Experiment(name string) (string, error) {
-	out, ok, err := report.ByName(name)
-	if !ok {
-		return "", fmt.Errorf("repro: unknown experiment %q (have %v)", name, report.Names())
-	}
-	if err != nil {
-		return "", fmt.Errorf("repro: experiment %q: %w", name, err)
-	}
-	return out, nil
-}
+func Experiment(name string) (string, error) { return report.Experiment(name) }
 
 // ExperimentNames lists the regenerable tables and figures.
 func ExperimentNames() []string { return report.Names() }
