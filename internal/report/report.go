@@ -173,8 +173,8 @@ func Fig7_7() (string, error) {
 	fmt.Fprintf(&b, "%-14s %11s %11s %11s %11s %11s %11s\n",
 		"pair", "p-base", "p-isa", "monte", "b-base", "b-isa", "billie")
 	opt := sim.DefaultOptions()
-	for i, prime := range primeCurves {
-		binary := binaryCurves[i] // the same security level
+	for _, pair := range sim.SecurityPairs() {
+		prime, binary := pair[0], pair[1]
 		pb := b.run(sim.Baseline, prime, opt)
 		pi := b.run(sim.ISAExt, prime, opt)
 		mo := b.run(sim.WithMonte, prime, opt)

@@ -18,8 +18,8 @@ type CurveInfo struct {
 	K      int // field element size in 32-bit words
 	Bits   int // field size in bits (prime: F.Bits; binary: F.M)
 	NBits  int // group-order size in bits
-	// Level is the paper's security level, 1..5 (Figure 7.7 pairs one
-	// curve of each family per level), and SecurityBits its NIST
+	// Level is the paper's security level, 1..5 (Figure 7.7 pairs the
+	// prime and binary curve of each level), and SecurityBits its NIST
 	// symmetric-equivalent strength (P-521's is AES-256, not 521/2).
 	Level, SecurityBits int
 }
@@ -50,14 +50,31 @@ func LookupCurve(name string) (CurveInfo, bool) {
 	return CurveInfo{}, false
 }
 
-// CurveNames lists one family's curves in ascending security order, so
-// the i-th prime and the i-th binary curve are Figure 7.7's pair at
-// security level i+1.
+// IsPrimeCurve reports whether name is one of the NIST prime curves.
+func IsPrimeCurve(name string) bool {
+	c, ok := LookupCurve(name)
+	return ok && c.Family == PrimeFamily
+}
+
+// CurveNames lists one family's curves in ascending security order.
 func CurveNames(f Family) []string {
 	var out []string
 	for _, c := range curveTable {
 		if c.Family == f {
 			out = append(out, c.Name)
+		}
+	}
+	return out
+}
+
+// SecurityPairs pairs each prime curve with the binary curve of the same
+// Level, in ascending level: Figure 7.7's rows.
+func SecurityPairs() (out [][2]string) {
+	for _, p := range curveTable {
+		for _, b := range curveTable {
+			if p.Family == PrimeFamily && b.Family == BinaryFamily && b.Level == p.Level {
+				out = append(out, [2]string{p.Name, b.Name})
+			}
 		}
 	}
 	return out

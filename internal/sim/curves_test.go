@@ -11,8 +11,8 @@ import (
 
 // TestCurveTable checks every row of the curve table against the curve
 // internal/ec constructs, on every multiplication algorithm of its
-// family, and pins Figure 7.7's security pairing (the i-th curve of each
-// family) and the levels' strengths.
+// family, and pins the family rule, Figure 7.7's security pairing (the
+// prime and binary curve of each level) and the levels' strengths.
 func TestCurveTable(t *testing.T) {
 	if got, want := CurveNames(PrimeFamily), ec.PrimeCurveNames; !slices.Equal(got, want) {
 		t.Errorf("prime curves %v, want %v", got, want)
@@ -47,6 +47,9 @@ func TestCurveTable(t *testing.T) {
 	if _, ok := LookupCurve("P-999"); ok {
 		t.Error("LookupCurve accepts P-999")
 	}
+	if IsPrimeCurve("P-999") {
+		t.Error("IsPrimeCurve accepts P-999")
+	}
 
 	wantPairs := [][2]string{
 		{"P-192", "B-163"},
@@ -55,13 +58,15 @@ func TestCurveTable(t *testing.T) {
 		{"P-384", "B-409"},
 		{"P-521", "B-571"},
 	}
-	primes, binaries := CurveNames(PrimeFamily), CurveNames(BinaryFamily)
+	if got := SecurityPairs(); !slices.Equal(got, wantPairs) {
+		t.Errorf("security pairs %v, want %v", got, wantPairs)
+	}
 	wantBits := []int{96, 112, 128, 192, 256}
 	for i, pair := range wantPairs {
-		if primes[i] != pair[0] || binaries[i] != pair[1] {
-			t.Errorf("level %d pairs %s with %s, want %s with %s", i+1, primes[i], binaries[i], pair[0], pair[1])
-		}
 		for _, name := range pair {
+			if IsPrimeCurve(name) != (name == pair[0]) {
+				t.Errorf("IsPrimeCurve(%s) = %t", name, IsPrimeCurve(name))
+			}
 			c, _ := LookupCurve(name)
 			if c.Level != i+1 || c.SecurityBits != wantBits[i] {
 				t.Errorf("%s: level %d at %d bits, want %d at %d", name, c.Level, c.SecurityBits, i+1, wantBits[i])

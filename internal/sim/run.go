@@ -3,7 +3,6 @@ package sim
 import (
 	"crypto/sha256"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/energy"
@@ -108,9 +107,6 @@ func (r Result) CombinedBreakdown() energy.Breakdown {
 func (r Result) TimeSeconds() float64 {
 	return float64(r.TotalCycles()) / energy.SystemClockHz
 }
-
-// IsPrimeCurve reports whether name is a NIST prime curve.
-func IsPrimeCurve(name string) bool { return strings.HasPrefix(name, "P-") }
 
 // tally is the intermediate cycle/event accumulation for one operation.
 type tally struct {

@@ -86,16 +86,17 @@ func TestBinaryBeatsPrimeAtEqualSecurity(t *testing.T) {
 	// shrinking as the binary field outgrows its prime pair.
 	opt := DefaultOptions()
 	var prev float64
-	primes, binaries := CurveNames(PrimeFamily), CurveNames(BinaryFamily)
-	for i, prime := range primes {
+	pairs := SecurityPairs()
+	for i, pair := range pairs {
+		prime, binary := pair[0], pair[1]
 		p := run(t, ISAExt, prime, opt)
-		b := run(t, ISAExt, binaries[i], opt)
+		b := run(t, ISAExt, binary, opt)
 		f := p.TotalEnergy() / b.TotalEnergy()
 		if f < 1.05 || f > 2.6 {
 			t.Errorf("%s vs %s: binary advantage %.2f outside [1.05, 2.6]",
-				prime, binaries[i], f)
+				prime, binary, f)
 		}
-		if i == len(primes)-1 && f >= prev {
+		if i == len(pairs)-1 && f >= prev {
 			t.Errorf("binary advantage should shrink at the largest pair: %.2f !< %.2f", f, prev)
 		}
 		prev = f
